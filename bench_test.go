@@ -1,9 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (DESIGN.md §4 maps IDs to paper artifacts). Each benchmark executes the
-// corresponding experiment end to end — data generation, scheduling, serving
-// simulation, and report formatting — at a reduced scale; run
-// cmd/llmqbench -scale 1 for the full-scale numbers recorded in
-// EXPERIMENTS.md.
+// (Experiments lists the IDs; the internal/bench registry maps each to its
+// paper artifact). Each benchmark executes the corresponding experiment end
+// to end — data generation, scheduling, serving simulation, and report
+// formatting — at a reduced scale; run cmd/llmqbench -scale 1 for the
+// full-scale numbers.
 package llmq
 
 import (
@@ -63,7 +63,8 @@ func BenchmarkTable6(b *testing.B) { benchmarkExperiment(b, "table6") }
 // Table 7 Llama-3.2-1B ablation (Appendix D.2).
 func BenchmarkTable7(b *testing.B) { benchmarkExperiment(b, "table7") }
 
-// Design-choice ablations beyond the paper (DESIGN.md §4).
+// Design-choice ablations beyond the paper (the ablation_* IDs of the
+// internal/bench registry).
 func BenchmarkAblationFD(b *testing.B)    { benchmarkExperiment(b, "ablation_fd") }
 func BenchmarkAblationDepth(b *testing.B) { benchmarkExperiment(b, "ablation_depth") }
 func BenchmarkAblationBlock(b *testing.B) { benchmarkExperiment(b, "ablation_block") }

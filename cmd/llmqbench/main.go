@@ -7,7 +7,8 @@
 //	llmqbench -list                      # available experiment IDs
 //	llmqbench -exp table2 -format csv    # machine-readable output
 //
-// Experiment IDs map to paper artifacts per DESIGN.md §4.
+// Experiment IDs map to paper artifacts per the internal/bench registry;
+// -list prints them in presentation order.
 package main
 
 import (

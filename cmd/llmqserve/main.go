@@ -41,9 +41,7 @@
 // the old anonymous first-come-first-served queue for A/B runs. -quota-calls
 // and -quota-tokens arm per-client post-paid token buckets (burst caps via
 // -quota-call-burst / -quota-token-burst): a client that overdraws gets 429
-// with a Retry-After header until its buckets refill. The deprecated
-// top-level "naive"/"policy" request fields still execute but answer with a
-// "deprecated" warning; use the "options" object.
+// with a Retry-After header until its buckets refill.
 //
 // -backend selects the serving target behind the whole stack (the
 // llmq.Backend seam): "sim" builds one confined engine per batch (the

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -29,28 +27,15 @@ import (
 // ctx deadline additionally travels as the Deadline-Ms header so the worker
 // bounds its own run even if the connection lingers.
 //
-// Retries: connect errors and 5xx responses (a draining or overloaded
-// worker answers 503) are retried with equal-jitter doubling backoff up to
-// MaxRetries; 4xx responses are deterministic rejections and never retried.
-// A worker's Retry-After header (a draining 503 carries one) overrides the
-// local backoff for that wait. When a shared RetryBudget is configured,
-// every retry first withdraws a token; an empty budget fails the batch fast
-// with ErrRetryBudgetExhausted instead of amplifying a fleet-wide outage.
-// Accounting is conserved across retries by construction — only the single
-// successful attempt's BatchResult is returned, and failed attempts
-// contribute no metrics (the Retries counter is observability, not
-// accounting).
+// One RunBatch is one round trip: Remote never retries. A worker's non-200
+// answer comes back as a *RemoteError whose Transient and RetryAfter tell
+// the caller — cluster.Router's attempt scheduler — whether and when
+// another attempt could succeed; connect and decode errors are transient.
 type Remote struct {
-	addr string
-	url  string
-	hc   *http.Client
-	cfg  RemoteConfig
-
-	batches      atomic.Int64
-	retries      atomic.Int64
-	errors       atomic.Int64
-	budgetDenied atomic.Int64
-	closed       atomic.Bool
+	addr   string
+	url    string
+	hc     *http.Client
+	closed atomic.Bool
 }
 
 var _ Backend = (*Remote)(nil)
@@ -66,35 +51,6 @@ type RemoteConfig struct {
 	// Client is the HTTP client to use; nil builds one with no overall
 	// timeout (the per-batch ctx bounds each request).
 	Client *http.Client
-	// MaxRetries bounds retry attempts after the first try on connect
-	// errors and 5xx responses (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the first retry's base backoff, doubled per attempt
-	// and equal-jittered (default 25ms).
-	RetryBackoff time.Duration
-	// Budget, when non-nil, is a retry budget shared across every Remote on
-	// one router: each batch deposits, each retry withdraws, and an empty
-	// budget fails the batch fast with ErrRetryBudgetExhausted.
-	Budget *RetryBudget
-	// NoJitter disables backoff jitter for tests that pin exact timing.
-	NoJitter bool
-}
-
-func (c RemoteConfig) maxRetries() int {
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	if c.MaxRetries == 0 {
-		return 2
-	}
-	return c.MaxRetries
-}
-
-func (c RemoteConfig) retryBackoff() time.Duration {
-	if c.RetryBackoff > 0 {
-		return c.RetryBackoff
-	}
-	return 25 * time.Millisecond
 }
 
 // NewRemote builds a Remote speaking to one worker. The address may be a
@@ -112,44 +68,17 @@ func NewRemote(cfg RemoteConfig) (*Remote, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Remote{addr: cfg.Addr, url: base + "/v1/batch", hc: hc, cfg: cfg}, nil
+	return &Remote{addr: cfg.Addr, url: base + "/v1/batch", hc: hc}, nil
 }
 
 // Addr reports the worker address this backend speaks to.
 func (r *Remote) Addr() string { return r.addr }
 
-// RemoteStats is the remote backend's dispatch accounting.
-//
-// Counting fields are conserved accounting: the llmqlint accounting
-// analyzer rejects keyed literals that set some counters and omit others.
-//
-//llmqlint:accounting
-type RemoteStats struct {
-	// Batches counts batches served successfully; Retries the extra
-	// attempts (beyond each batch's first) that connect errors or 5xx
-	// responses cost; Errors the batches that failed after every retry;
-	// BudgetDenied the batches failed fast because the shared retry budget
-	// was empty (a subset of Errors).
-	Batches      int64
-	Retries      int64
-	Errors       int64
-	BudgetDenied int64
-}
-
-// Stats snapshots the dispatch counters.
-func (r *Remote) Stats() RemoteStats {
-	return RemoteStats{
-		Batches:      r.batches.Load(),
-		Retries:      r.retries.Load(),
-		Errors:       r.errors.Load(),
-		BudgetDenied: r.budgetDenied.Load(),
-	}
-}
-
 // RemoteError is a worker's structured rejection: the /v1 error envelope
 // plus the HTTP status it rode on. Status >= 500 (and connect errors, which
-// produce no RemoteError) are transient — retryable and grounds for a
-// router to mark the worker down; 4xx are deterministic and final.
+// produce no RemoteError) are transient — another attempt could succeed,
+// and the failure counts against the worker's breaker; 4xx are
+// deterministic and final.
 type RemoteError struct {
 	Addr    string
 	Status  int
@@ -157,7 +86,7 @@ type RemoteError struct {
 	Message string
 	// RetryAfter is the worker's requested wait before the next attempt
 	// (from the Retry-After header a draining 503 carries); zero means the
-	// worker expressed no preference and the client's own backoff applies.
+	// worker expressed no preference and the caller's own backoff applies.
 	RetryAfter time.Duration
 }
 
@@ -177,9 +106,9 @@ type wireEnvelope struct {
 	} `json:"error"`
 }
 
-// RunBatch ships the batch to the worker and returns its result. The
-// statement's trace gets a "remote" child span carrying the worker address
-// and the retry count the batch cost.
+// RunBatch ships the batch to the worker in one POST /v1/batch round trip
+// and returns its result. The statement's trace gets a "remote" child span
+// carrying the worker address.
 func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return BatchResult{}, err
@@ -196,66 +125,22 @@ func (r *Remote) RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, err
 	sp.Set("requests", len(spec.Requests))
 	defer sp.End()
 
-	r.cfg.Budget.Deposit()
-	var lastErr error
-	backoff := r.cfg.retryBackoff()
-	for attempt := 0; attempt <= r.cfg.maxRetries(); attempt++ {
-		if attempt > 0 {
-			if !r.cfg.Budget.Withdraw() {
-				r.budgetDenied.Add(1)
-				r.errors.Add(1)
-				sp.Set("error", ErrRetryBudgetExhausted.Error())
-				return BatchResult{}, fmt.Errorf("backend: remote %s: %w (last attempt: %w)",
-					r.addr, ErrRetryBudgetExhausted, lastErr)
-			}
-			r.retries.Add(1)
-			sp.Set("retries", attempt)
-			wait := backoff
-			if !r.cfg.NoJitter {
-				// Equal jitter: [backoff/2, backoff) keeps the mean high
-				// enough to matter while decorrelating a retry stampede.
-				wait = backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
-			}
-			// A worker that said how long it needs (Retry-After on a
-			// draining 503) knows better than our local schedule.
-			var re *RemoteError
-			if errors.As(lastErr, &re) && re.RetryAfter > 0 {
-				wait = re.RetryAfter
-			}
-			select {
-			case <-ctx.Done():
-				return BatchResult{}, ctx.Err()
-			case <-time.After(wait):
-			}
-			backoff *= 2
-		}
-		res, err := r.attempt(ctx, body)
-		if err == nil {
-			r.batches.Add(1)
-			sp.Set("modelCalls", res.ModelCalls)
-			return res, nil
-		}
-		// The caller's own death is never retried — surface ctx.Err() so the
-		// seam's cancellation contract (return the context's error) holds.
+	res, err := r.roundTrip(ctx, body)
+	if err != nil {
+		// The caller's own death surfaces as ctx.Err(), so the seam's
+		// cancellation contract (return the context's error) holds.
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return BatchResult{}, ctxErr
 		}
-		var re *RemoteError
-		if errors.As(err, &re) && !re.Transient() {
-			r.errors.Add(1)
-			sp.Set("error", err.Error())
-			return BatchResult{}, err
-		}
-		lastErr = err
+		sp.Set("error", err.Error())
+		return BatchResult{}, err
 	}
-	r.errors.Add(1)
-	sp.Set("error", lastErr.Error())
-	return BatchResult{}, fmt.Errorf("backend: remote %s failed after %d attempts: %w",
-		r.addr, r.cfg.maxRetries()+1, lastErr)
+	sp.Set("modelCalls", res.ModelCalls)
+	return res, nil
 }
 
-// attempt performs one POST /v1/batch round trip.
-func (r *Remote) attempt(ctx context.Context, body []byte) (BatchResult, error) {
+// roundTrip performs the POST /v1/batch request and decodes the answer.
+func (r *Remote) roundTrip(ctx context.Context, body []byte) (BatchResult, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url, bytes.NewReader(body))
 	if err != nil {
 		return BatchResult{}, fmt.Errorf("backend: build request: %w", err)

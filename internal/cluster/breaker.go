@@ -18,19 +18,21 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
-// breakerConfig sizes one worker's circuit breaker.
+// breakerConfig sizes one worker's circuit breaker. Zero fields take the
+// defaults, which are the router's.
 type breakerConfig struct {
-	// threshold opens the circuit on this many consecutive failures.
+	// threshold opens the circuit on this many consecutive failures
+	// (default 2).
 	threshold int
 	// window and errorRate open the circuit when at least minSamples
 	// outcomes are in the rolling window and the failure fraction reaches
 	// errorRate — catching a worker that fails often without ever failing
-	// threshold times in a row.
+	// threshold times in a row (defaults 20 / 10 / 0.5).
 	window     int
 	minSamples int
 	errorRate  float64
 	// cooldown is how long an open circuit blocks before admitting the
-	// half-open probe.
+	// half-open probe (default 1s).
 	cooldown time.Duration
 }
 
@@ -99,19 +101,11 @@ func (b *breaker) allow() bool {
 	}
 }
 
-// record feeds one outcome (from a batch or a health probe) into the
-// circuit. weight counts a batch failure as that many consecutive failures
-// — a failed batch already survived the remote's own retries, so it is
-// stronger evidence than one failed probe. It reports whether this call
-// opened the circuit.
-func (b *breaker) record(failed bool, weight int) bool {
-	if weight <= 0 {
-		weight = 1
-	}
+// record feeds one outcome — of one attempt or one health probe — into
+// the circuit. It reports whether this call opened the circuit.
+func (b *breaker) record(failed bool) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// Rolling window: one slot per call (not per weight unit), so the rate
-	// reflects observed events.
 	if len(b.outcomes) < b.cfg.window {
 		b.outcomes = append(b.outcomes, failed)
 	} else {
@@ -130,7 +124,7 @@ func (b *breaker) record(failed bool, weight int) bool {
 		}
 		return false
 	}
-	b.failures += weight
+	b.failures++
 	b.probing = false
 	if b.state == BreakerOpen {
 		return false

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -33,16 +34,6 @@ var chaosProfiles = []struct {
 	{"mixed-storm", "seed=16;latency:delay=10ms:p=0.3;5xx:count=2;conn:count=2;corrupt:count=1"},
 }
 
-// chaosConfig is the router tuning shared by the conformance runs: fast
-// retries, no background probes (the faults are the only failure source).
-func chaosConfig() cluster.Config {
-	return cluster.Config{
-		HealthInterval: -1,
-		MaxRetries:     3,
-		RetryBackoff:   time.Millisecond,
-	}
-}
-
 // TestChaosConformance runs the full statement set through a 3-worker fleet
 // under each fault profile and diffs rows, columns, and model-call counts
 // against the fault-free oracle.
@@ -53,7 +44,7 @@ func TestChaosConformance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse %q: %v", prof.spec, err)
 			}
-			cfg := chaosConfig()
+			var cfg cluster.Config
 			cfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, inj)}
 			rt, _ := newCluster(t, 3, func() backend.Backend { return backend.NewSim() }, cfg)
 
@@ -91,7 +82,7 @@ func TestChaosDeterministicInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := chaosConfig()
+		var cfg cluster.Config
 		cfg.HTTPClient = &http.Client{Transport: faults.NewRoundTripper(nil, inj)}
 		rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() }, cfg)
 		if _, err := rt.RunBatch(t.Context(), clusterSpec("replay-stage", []int{4, 4}, 16, 4)); err != nil {
@@ -119,7 +110,7 @@ func TestChaosCrashedWorkerBreakerOpens(t *testing.T) {
 
 	var srvs []*httptest.Server
 	var crashed string
-	cfg := chaosConfig()
+	var cfg cluster.Config
 	cfg.HedgeAfter = -1
 	for i := 0; i < 3; i++ {
 		wk := server.NewWorker(backend.NewSim(), nil)
@@ -177,5 +168,72 @@ func TestChaosCrashedWorkerBreakerOpens(t *testing.T) {
 	}
 	if st := crashInj.Stats(); st.Crash == 0 {
 		t.Error("crash middleware never fired")
+	}
+}
+
+// TestChaosDrainedBudgetStillFailsOver: hedges may drain the router-wide
+// budget, but the first pass over the candidates needs no token — with a
+// 1ms hedge delay hedging every part until the bucket runs dry, a worker
+// that then crash-latches still has its stages fail over, byte-identical to
+// the fault-free oracle.
+func TestChaosDrainedBudgetStillFailsOver(t *testing.T) {
+	crashInj := faults.MustParse("seed=3;crash")
+	var crashing atomic.Bool
+	var srvs []*httptest.Server
+	cfg := cluster.Config{HedgeAfter: time.Millisecond}
+	for i := 0; i < 3; i++ {
+		// Every worker answers after 5ms, so each 1ms hedge fires.
+		slow := faults.NewBackend(backend.NewSim(), faults.MustParse("seed=1;latency:delay=5ms"))
+		var h http.Handler = server.NewWithConfig(server.Config{Worker: server.NewWorker(slow, nil)})
+		if i == 0 {
+			healthy, crashed := h, faults.Middleware(crashInj, h)
+			h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if crashing.Load() {
+					crashed.ServeHTTP(w, r)
+					return
+				}
+				healthy.ServeHTTP(w, r)
+			})
+		}
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		srvs = append(srvs, srv)
+		cfg.Workers = append(cfg.Workers, srv.URL)
+	}
+	rt, err := cluster.NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	const drainParts = 30
+	for i := 0; i < drainParts; i++ {
+		if _, err := rt.RunBatch(context.Background(), clusterSpec(fmt.Sprintf("drain-%d", i), []int{1}, 16, 4)); err != nil {
+			t.Fatalf("drain part %d: %v", i, err)
+		}
+	}
+	hedges := rt.Metrics().HedgesLaunched
+	if hedges == 0 || hedges >= drainParts {
+		t.Fatalf("hedges launched = %d over %d parts, want some denied by a dry budget", hedges, drainParts)
+	}
+
+	crashing.Store(true)
+	for i := 0; i < 32; i++ {
+		if _, err := rt.RunBatch(context.Background(), clusterSpec(fmt.Sprintf("crash-stage-%d", i), []int{1}, 16, 4)); err != nil {
+			t.Fatalf("stage %d: part lost to the crashed worker: %v", i, err)
+		}
+	}
+	for _, sql := range clusterStatements {
+		want := execWith(t, nil, sql)
+		got := execWith(t, rt, sql)
+		if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) || fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) || got.LLMCalls != want.LLMCalls {
+			t.Errorf("%q: diverged from the oracle with a crashed worker and a dry budget", sql)
+		}
+	}
+	if st := crashInj.Stats(); st.Crash == 0 {
+		t.Fatal("the crashed worker never took an attempt: nothing failed over")
+	}
+	if m := rt.Metrics(); m.Workers[srvs[0].URL].Errors == 0 || m.RingMoves == 0 {
+		t.Errorf("crashed worker errors = %d, ring moves = %d, want both > 0", m.Workers[srvs[0].URL].Errors, m.RingMoves)
 	}
 }

@@ -55,11 +55,9 @@ func TestHedgeNoDoubleCharge(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
-		Capacity:       4,
-		HealthInterval: -1,
-		MaxRetries:     -1,
-		HedgeAfter:     20 * time.Millisecond,
+		Workers:    []string{srvA.URL, srvB.URL},
+		Capacity:   4,
+		HedgeAfter: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,10 +110,8 @@ func TestHedgePrimaryWinCancelsHedge(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
-		HealthInterval: -1,
-		MaxRetries:     -1,
-		HedgeAfter:     15 * time.Millisecond,
+		Workers:    []string{srvA.URL, srvB.URL},
+		HedgeAfter: 15 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,10 +160,8 @@ func TestHedgeRespectsDeadline(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
-		HealthInterval: -1,
-		MaxRetries:     -1,
-		HedgeAfter:     500 * time.Millisecond,
+		Workers:    []string{srvA.URL, srvB.URL},
+		HedgeAfter: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,10 +188,8 @@ func TestHedgeDisabled(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srvA.URL, srvB.URL},
-		HealthInterval: -1,
-		MaxRetries:     -1,
-		HedgeAfter:     -1,
+		Workers:    []string{srvA.URL, srvB.URL},
+		HedgeAfter: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,5 +201,67 @@ func TestHedgeDisabled(t *testing.T) {
 	}
 	if m := rt.Metrics(); m.HedgesLaunched != 0 {
 		t.Errorf("hedges launched = %d, want 0 (hedging disabled)", m.HedgesLaunched)
+	}
+}
+
+// parkedBackend parks every batch until released, announcing each start.
+type parkedBackend struct {
+	started chan struct{}
+	release chan struct{}
+}
+
+func (p *parkedBackend) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend.BatchResult, error) {
+	p.started <- struct{}{}
+	select {
+	case <-p.release:
+		return backend.BatchResult{ModelCalls: len(spec.Requests)}, nil
+	case <-ctx.Done():
+		return backend.BatchResult{}, ctx.Err()
+	}
+}
+
+func (p *parkedBackend) Close() error { return nil }
+
+// TestHedgeReservesOneSlot: a part holds one capacity slot however many
+// attempts race for it — mid-race, with the primary and its hedge both
+// parked on workers, the fleet's in-flight sum is 1.
+func TestHedgeReservesOneSlot(t *testing.T) {
+	parked := &parkedBackend{started: make(chan struct{}, 2), release: make(chan struct{})}
+	srvA, _ := startWorker(parked)
+	srvB, _ := startWorker(parked)
+	defer srvA.Close()
+	defer srvB.Close()
+
+	rt, err := cluster.NewRouter(cluster.Config{
+		Workers:    []string{srvA.URL, srvB.URL},
+		HedgeAfter: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.RunBatch(context.Background(), clusterSpec("race-stage", []int{2}, 16, 4))
+		done <- err
+	}()
+	<-parked.started
+	<-parked.started // the hedge is in flight too
+
+	m := rt.Metrics()
+	var inflight int64
+	for _, wm := range m.Workers {
+		inflight += wm.InFlight
+	}
+	if inflight != 1 {
+		t.Errorf("in-flight sum mid-race = %d, want 1 (one slot per part)", inflight)
+	}
+	if m.HedgesLaunched != 1 {
+		t.Errorf("hedges launched = %d, want 1", m.HedgesLaunched)
+	}
+	close(parked.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

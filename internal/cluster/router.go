@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"sort"
 	"strings"
@@ -15,58 +17,23 @@ import (
 	"repro/internal/obs"
 )
 
-// Config sizes a Router.
+// Config sizes a Router. The dispatch policy itself — attempt order, the
+// retry budget, backoff, the breaker's thresholds and the health-probe
+// period — is fixed; docs/API.md ("Failure semantics") describes it.
 type Config struct {
 	// Workers are the fleet's /v1/batch addresses ("host:port" or full
 	// URLs). At least one is required.
 	Workers []string
-	// Capacity is a worker's nominal concurrent-batch budget, the unit the
-	// fan-out and hot-replication decisions are made in (default 4).
+	// Capacity is a worker's nominal concurrent-part budget, the unit the
+	// fan-out and hot-replication decisions are made in: a stage's primary
+	// holding Capacity parts counts as saturated and the batch also
+	// considers the next ring node (default 4).
 	Capacity int
-	// ReplicateWatermark is the in-flight batch count at which a stage's
-	// primary counts as saturated and the batch also considers the next
-	// ring node (default: Capacity).
-	ReplicateWatermark int
-	// HealthInterval is the period between health sweeps (default 2s;
-	// negative disables the health loop — worker circuits are then only
-	// opened by failed batches and never close without traffic).
-	HealthInterval time.Duration
-	// HealthTimeout bounds one health probe (default 500ms).
-	HealthTimeout time.Duration
-	// MarkdownAfter is the circuit breaker's consecutive-failure threshold:
-	// how many consecutive probe failures open a worker's circuit (default
-	// 2; a failed batch counts MarkdownAfter at once, since it already
-	// survived the remote backend's own retries).
-	MarkdownAfter int
-	// BreakerCooldown is how long an opened circuit blocks before one
-	// half-open probe batch is admitted (default 1s). Health probes are
-	// never blocked, and a healthy probe answer closes the circuit early.
-	BreakerCooldown time.Duration
-	// BreakerWindow / BreakerMinSamples / BreakerErrorRate open the circuit
-	// on failure rate: with at least BreakerMinSamples outcomes in a
-	// rolling window of BreakerWindow, a failure fraction at or above
-	// BreakerErrorRate opens the circuit even without a consecutive streak
-	// (defaults 20 / 10 / 0.5).
-	BreakerWindow     int
-	BreakerMinSamples int
-	BreakerErrorRate  float64
-	// HedgeAfter controls hedged batch sends: after this long without an
-	// answer, the same part is also dispatched to the next admitted ring
-	// node and the first answer wins (the loser is canceled; only the
-	// winner's result is merged, so accounting never double-charges). Zero
-	// derives the delay from the router's observed p99 batch latency;
-	// negative disables hedging.
+	// HedgeAfter is the hedge delay: a part without an answer after this
+	// long also launches on its next first-pass candidate, and the first
+	// answer wins. Zero derives the delay from the router's observed p99
+	// batch latency; negative disables hedging.
 	HedgeAfter time.Duration
-	// MaxRetries / RetryBackoff configure each worker's backend.Remote
-	// (see backend.RemoteConfig); failover to the next ring node happens
-	// only after a worker exhausts these.
-	MaxRetries   int
-	RetryBackoff time.Duration
-	// RetryBudgetRatio / RetryBudgetBurst size the retry budget shared by
-	// every worker's Remote (see backend.RetryBudget; defaults 0.2 / 10).
-	// RetryBudgetBurst < 0 disables the budget.
-	RetryBudgetRatio float64
-	RetryBudgetBurst int
 	// HTTPClient is shared by batch dispatch and health probes; nil builds
 	// a default client. Chaos runs mount a faults.RoundTripper here.
 	HTTPClient *http.Client
@@ -79,48 +46,61 @@ func (c Config) capacity() int {
 	return 4
 }
 
-func (c Config) replicateWatermark() int {
-	if c.ReplicateWatermark > 0 {
-		return c.ReplicateWatermark
-	}
-	return c.capacity()
+// The fixed dispatch policy.
+const (
+	// maxAttempts caps one part's attempts: its first pass over the
+	// candidates plus budgeted revisits.
+	maxAttempts = 6
+	// retryBackoff is the first revisit's base wait, doubled per revisit
+	// and equal-jittered; a worker's Retry-After overrides it.
+	retryBackoff = 25 * time.Millisecond
+	// budgetRatio tokens are deposited per part, up to budgetBurst; every
+	// revisit and every hedge withdraws one. The bucket starts full so a
+	// cold router can still ride out a short fault burst.
+	budgetRatio = 0.2
+	budgetBurst = 10
+	// healthInterval is the period between health sweeps; healthTimeout
+	// bounds one probe.
+	healthInterval = 2 * time.Second
+	healthTimeout  = 500 * time.Millisecond
+	// defaultHedgeDelay is the adaptive hedge delay before any latency
+	// samples exist — deliberately conservative so a cold router does not
+	// hedge its first batches.
+	defaultHedgeDelay = 250 * time.Millisecond
+	// latencyWindow is the reservoir size the adaptive hedge delay derives
+	// its p99 from.
+	latencyWindow = 128
+)
+
+// ErrRetryBudgetExhausted is the distinct fail-fast error of a part whose
+// next retry the router-wide budget refused: the fleet is failing broadly
+// enough that piling on retries would amplify the outage rather than ride
+// it out.
+var ErrRetryBudgetExhausted = errors.New("cluster: retry budget exhausted")
+
+// budget is the router-wide token bucket, the only limit on extra work.
+type budget struct {
+	mu     sync.Mutex
+	tokens float64 // guarded by mu
 }
 
-func (c Config) healthInterval() time.Duration {
-	if c.HealthInterval != 0 {
-		return c.HealthInterval
-	}
-	return 2 * time.Second
+// deposit credits the bucket for one part.
+func (b *budget) deposit() {
+	b.mu.Lock()
+	b.tokens = math.Min(b.tokens+budgetRatio, budgetBurst)
+	b.mu.Unlock()
 }
 
-func (c Config) healthTimeout() time.Duration {
-	if c.HealthTimeout > 0 {
-		return c.HealthTimeout
+// withdraw spends one token, reporting whether one was there.
+func (b *budget) withdraw() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.tokens < 1 {
+		return false
 	}
-	return 500 * time.Millisecond
+	b.tokens--
+	return true
 }
-
-func (c Config) markdownAfter() int {
-	if c.MarkdownAfter > 0 {
-		return c.MarkdownAfter
-	}
-	return 2
-}
-
-func (c Config) breaker() breakerConfig {
-	return breakerConfig{
-		threshold:  c.markdownAfter(),
-		window:     c.BreakerWindow,
-		minSamples: c.BreakerMinSamples,
-		errorRate:  c.BreakerErrorRate,
-		cooldown:   c.BreakerCooldown,
-	}
-}
-
-// defaultHedgeDelay is the adaptive hedge delay before any latency samples
-// exist — deliberately conservative so a cold router does not hedge its
-// first batches.
-const defaultHedgeDelay = 250 * time.Millisecond
 
 // worker is the router's view of one fleet member. A worker's "down" state
 // is its circuit breaker being non-closed.
@@ -128,10 +108,13 @@ type worker struct {
 	addr      string
 	healthURL string
 	remote    *backend.Remote
-	capacity  int
 	cb        *breaker
 
-	inflight atomic.Int64 // batches currently dispatched to this worker
+	inflight     atomic.Int64 // parts holding their capacity slot here
+	batches      atomic.Int64 // successful attempts
+	retries      atomic.Int64 // attempts made after a failure of their part
+	errors       atomic.Int64 // failed attempts (the caller's cancellation excluded)
+	budgetDenied atomic.Int64 // retries here the budget refused
 }
 
 func (w *worker) isDown() bool { return w.cb.isOpen() }
@@ -144,26 +127,39 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 // Placement per batch:
 //
 //  1. The ring names the stage's owner; an owner whose circuit breaker is
-//     open fails over to the next distinct ring node (counted as a ring
-//     move), so a broken worker's stages land deterministically on its
-//     successor.
-//  2. If the primary is saturated (in-flight ≥ ReplicateWatermark) the next
-//     ring node joins as a replica target (counted as a hot replication):
-//     the stage's prefix warms on a second node, trading one extra warm-up
-//     for parallelism — the dynamic version of backend.Sharded's static
+//     open is demoted behind the admitted workers (counted as a ring move),
+//     so a broken worker's stages land deterministically on its successor.
+//  2. If the primary is saturated (Capacity parts in flight) the next ring
+//     node joins as a replica target (counted as a hot replication): the
+//     stage's prefix warms on a second node, trading one extra warm-up for
+//     parallelism — the dynamic version of backend.Sharded's static
 //     fan-out.
 //  3. Fan-out width is min(group count, live spare capacity across the
 //     chosen targets), never a static flag: the batch splits along its
 //     prefix-group boundaries (backend.SplitByGroups) and parts go to the
 //     least-loaded target first.
-//  4. A part without an answer after the hedge delay is also dispatched to
-//     the next admitted ring node; the first answer wins and the loser is
-//     canceled — only the winner's result merges, so hedges never
-//     double-charge.
-//  5. A part whose worker fails (after backend.Remote's own retries) feeds
-//     that worker's circuit breaker and retries on the next ring node;
-//     deterministic 4xx rejections and the caller's own cancellation do
-//     not fail over.
+//
+// Each part then runs under one attempt scheduler (runPart). A failover, a
+// retry and a hedge are all attempts over the stage's candidate order — the
+// part's target, then ring order — each a single backend.Remote round trip:
+//
+//   - After a transient failure the next attempt goes to the next untried
+//     candidate, admitted (closed-circuit) ones first. This first pass
+//     visits each worker at most once and spends no budget.
+//   - Once every candidate was tried, further attempts revisit them after
+//     an equal-jitter doubling backoff (a worker's Retry-After overrides
+//     it), never sleeping past the caller's deadline. Each revisit
+//     withdraws a token from the router-wide budget; a denied one fails the
+//     part with ErrRetryBudgetExhausted. At most maxAttempts run per part.
+//   - A part without an answer after the hedge delay also launches on its
+//     next first-pass candidate, if a token is there; the first success
+//     wins, the others are canceled, and only the winner's result merges,
+//     so hedges never double-charge.
+//   - 4xx rejections and the caller's own cancellation are final.
+//
+// A part holds one capacity slot, on its placed worker, however many
+// attempts race. The breaker sees one outcome per attempt and only filters
+// the order.
 //
 // The fleet is live: AddWorker/RemoveWorker rebalance the consistent-hash
 // ring on a running router (~1/N of stages move), in-flight batches drain
@@ -176,7 +172,7 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 type Router struct {
 	cfg    Config
 	hc     *http.Client
-	budget *backend.RetryBudget
+	budget budget
 
 	mu      sync.RWMutex
 	ring    *ring              // guarded by mu
@@ -191,7 +187,7 @@ type Router struct {
 	rebalanceLeaves atomic.Int64
 
 	latMu   sync.Mutex
-	lats    []time.Duration // successful-batch latency reservoir; guarded by latMu
+	lats    []time.Duration // successful-attempt latency reservoir; guarded by latMu
 	latNext int             // next reservoir slot; guarded by latMu
 
 	closed   atomic.Bool
@@ -203,10 +199,6 @@ type Router struct {
 
 var _ backend.Backend = (*Router)(nil)
 
-// latencyWindow is the reservoir size the adaptive hedge delay derives its
-// p99 from.
-const latencyWindow = 128
-
 // NewRouter builds the router and starts its health loop.
 func NewRouter(cfg Config) (*Router, error) {
 	rg, err := newRing(cfg.Workers)
@@ -217,35 +209,23 @@ func NewRouter(cfg Config) (*Router, error) {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	var budget *backend.RetryBudget
-	if cfg.RetryBudgetBurst >= 0 {
-		budget = backend.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst)
-	}
 	workers := make(map[string]*worker, len(cfg.Workers))
 	for _, addr := range cfg.Workers {
-		w, err := newWorker(cfg, hc, budget, addr)
+		w, err := newWorker(hc, addr)
 		if err != nil {
 			return nil, err
 		}
 		workers[addr] = w
 	}
-	rt := &Router{cfg: cfg, hc: hc, budget: budget, ring: rg, workers: workers, stop: make(chan struct{})}
-	if cfg.healthInterval() > 0 {
-		rt.loopDone.Add(1)
-		go rt.healthLoop(hc)
-	}
+	rt := &Router{cfg: cfg, hc: hc, budget: budget{tokens: budgetBurst}, ring: rg, workers: workers, stop: make(chan struct{})}
+	rt.loopDone.Add(1)
+	go rt.healthLoop(hc)
 	return rt, nil
 }
 
 // newWorker builds the router's view of one fleet member.
-func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr string) (*worker, error) {
-	rem, err := backend.NewRemote(backend.RemoteConfig{
-		Addr:         addr,
-		Client:       hc,
-		MaxRetries:   cfg.MaxRetries,
-		RetryBackoff: cfg.RetryBackoff,
-		Budget:       budget,
-	})
+func newWorker(hc *http.Client, addr string) (*worker, error) {
+	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: addr, Client: hc})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: worker %s: %w", addr, err)
 	}
@@ -257,8 +237,7 @@ func newWorker(cfg Config, hc *http.Client, budget *backend.RetryBudget, addr st
 		addr:      addr,
 		healthURL: strings.TrimRight(base, "/") + "/healthz",
 		remote:    rem,
-		capacity:  cfg.capacity(),
-		cb:        newBreaker(cfg.breaker()),
+		cb:        newBreaker(breakerConfig{}),
 	}, nil
 }
 
@@ -295,7 +274,7 @@ func (rt *Router) AddWorker(addr string) error {
 	if err != nil {
 		return err
 	}
-	w, err := newWorker(rt.cfg, rt.hc, rt.budget, addr)
+	w, err := newWorker(rt.hc, addr)
 	if err != nil {
 		return err
 	}
@@ -392,7 +371,8 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 		rt.ringMoves.Add(1)
 	}
 	targets := []*worker{primary}
-	if primary.inflight.Load() >= int64(rt.cfg.replicateWatermark()) && len(cands) > 1 {
+	capacity := rt.cfg.capacity()
+	if primary.inflight.Load() >= int64(capacity) && len(cands) > 1 {
 		targets = append(targets, cands[1])
 		rt.hotReplications.Add(1)
 	}
@@ -403,7 +383,7 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	if len(spec.Groups) > 1 && len(spec.Requests) >= 2 {
 		spare := 0
 		for _, w := range targets {
-			if s := w.capacity - int(w.inflight.Load()); s > 1 {
+			if s := capacity - int(w.inflight.Load()); s > 1 {
 				spare += s
 			} else {
 				spare++ // a saturated target still serves at least one part
@@ -488,148 +468,168 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 	return backend.MergeBatchResults(results, sizes), nil
 }
 
-// runPart serves one part, failing over along the candidate list. first is
-// the load-balanced choice; on a transient failure the part walks the
-// remaining candidates in ring order. A worker whose circuit breaker denies
-// admission is skipped while an admitted candidate remains (the breaker
-// itself meters half-open probes); with every circuit open the walk tries
-// workers anyway, so a fleet-wide brownout degrades instead of wedging.
-// Deterministic worker rejections (4xx) and the caller's own cancellation
-// are final.
+// attempt is the outcome of one try of a part on one worker.
+type attempt struct {
+	w     *worker
+	res   backend.BatchResult
+	err   error
+	hedge bool
+}
+
+// runPart serves one part by the attempt schedule documented on Router.
+// first is the part's placed (least-loaded) target; cands is the stage's
+// candidate order.
 func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *worker, cands []*worker) (backend.BatchResult, error) {
-	order := make([]*worker, 0, len(cands)+1)
-	seen := make(map[*worker]bool, len(cands)+1)
-	for _, w := range append([]*worker{first}, cands...) {
-		if !seen[w] {
-			seen[w] = true
+	first.inflight.Add(1)
+	defer first.inflight.Add(-1)
+	rt.budget.deposit()
+
+	order := []*worker{first}
+	for _, w := range cands {
+		if w != first {
 			order = append(order, w)
 		}
 	}
 	tried := make(map[*worker]bool, len(order))
-	anyClosed := func(from int) bool {
-		for _, w := range order[from:] {
-			if !tried[w] && !w.cb.isOpen() {
-				return true
+	retryAfter := make(map[*worker]time.Duration, len(order))
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the losers of a race
+	done := make(chan attempt, maxAttempts)
+	var (
+		attempts, running int
+		pass              = 1
+		hedgeC            <-chan time.Time
+		hedged            bool // a hedge joined the current race
+		backoff           = retryBackoff
+		lastErr           error
+	)
+	// launch starts one attempt; a first-pass attempt that is not itself a
+	// hedge arms the race's hedge timer.
+	launch := func(w *worker, hedge bool) {
+		tried[w] = true
+		attempts++
+		running++
+		go func() {
+			res, err := rt.send(pctx, part, w)
+			done <- attempt{w, res, err, hedge}
+		}()
+		hedgeC = nil
+		if !hedge && pass == 1 {
+			if d, ok := rt.hedgeDelay(ctx); ok {
+				hedgeC = time.After(d)
 			}
 		}
-		return false
-	}
-	var lastErr error
-	for i, w := range order {
-		if tried[w] {
-			continue
-		}
-		// Breaker admission: allow() grants closed traffic and metered
-		// half-open probes; a denied worker is skipped only while a
-		// closed-circuit candidate remains untried.
-		if !w.cb.allow() && anyClosed(i+1) {
-			continue
-		}
-		tried[w] = true
-		hedge := rt.hedgeTarget(order, tried, i+1)
-		res, err := rt.dispatch(ctx, part, w, hedge, tried)
-		if err == nil {
-			return res, nil
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return backend.BatchResult{}, ctxErr
-		}
-		var re *backend.RemoteError
-		if errors.As(err, &re) && !re.Transient() {
-			return backend.BatchResult{}, err
-		}
-		lastErr = err
-	}
-	return backend.BatchResult{}, fmt.Errorf("cluster: all %d workers failed for stage part: %w", len(order), lastErr)
-}
-
-// hedgeTarget picks the hedge candidate for a dispatch: the first untried
-// worker from position from whose circuit is closed (a hedge is a latency
-// optimization — it never spends a half-open probe slot).
-func (rt *Router) hedgeTarget(order []*worker, tried map[*worker]bool, from int) *worker {
-	for _, w := range order[from:] {
-		if !tried[w] && !w.cb.isOpen() {
-			return w
-		}
-	}
-	return nil
-}
-
-// dispatch serves one part on primary, hedging to hedge if no answer lands
-// within the hedge delay. The first success wins and the loser is canceled;
-// only the winner's result is returned, so accounting never double-charges.
-// A hedge launched during the race marks its worker tried in the caller's
-// failover walk — its outcome (either way) already fed that worker's
-// breaker.
-func (rt *Router) dispatch(ctx context.Context, part backend.BatchSpec, primary, hedge *worker, tried map[*worker]bool) (backend.BatchResult, error) {
-	delay, ok := rt.hedgeDelay(ctx)
-	if hedge == nil || !ok {
-		return rt.send(ctx, part, primary)
 	}
 
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res    backend.BatchResult
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, 2)
-	go func() {
-		res, err := rt.send(dctx, part, primary)
-		ch <- outcome{res, err, false}
-	}()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	launched := false
-	var firstFail *outcome
+	launch(next(order, tried, false), false)
 	for {
 		select {
-		case o := <-ch:
-			if o.err == nil {
-				cancel()
-				if launched {
-					if o.hedged {
+		case <-hedgeC:
+			if h := next(order, tried, true); h != nil && attempts < maxAttempts && rt.budget.withdraw() {
+				launch(h, true)
+				hedged = true
+				rt.hedgesLaunched.Add(1)
+			}
+			hedgeC = nil
+			continue
+		case a := <-done:
+			running--
+			if a.err == nil {
+				if hedged {
+					if a.hedge {
 						rt.hedgeWins.Add(1)
 					} else {
 						rt.hedgesCanceled.Add(1)
 					}
 				}
-				return o.res, nil
+				if !a.hedge && a.w != first {
+					rt.ringMoves.Add(1)
+				}
+				return a.res, nil
 			}
-			if !launched {
-				// Primary failed before the hedge would launch: hedging is
-				// for tail latency, failover handles failures.
-				return backend.BatchResult{}, o.err
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				return backend.BatchResult{}, ctxErr
 			}
-			if firstFail == nil {
-				firstFail = &o
+			var re *backend.RemoteError
+			if errors.As(a.err, &re) {
+				if !re.Transient() {
+					return backend.BatchResult{}, a.err
+				}
+				retryAfter[a.w] = re.RetryAfter
+			}
+			lastErr = a.err
+			if running > 0 {
 				continue // the race partner may still answer
 			}
-			// Both failed: surface the non-hedged error first (the hedge's
-			// failure is usually the same root cause one hop later).
-			if firstFail.hedged {
-				return backend.BatchResult{}, o.err
-			}
-			return backend.BatchResult{}, firstFail.err
-		case <-timer.C:
-			if launched {
-				continue
-			}
-			launched = true
-			tried[hedge] = true
-			rt.hedgesLaunched.Add(1)
-			go func() {
-				res, err := rt.send(dctx, part, hedge)
-				ch <- outcome{res, err, true}
-			}()
 		}
+
+		// Every attempt so far failed: schedule the next one.
+		hedged = false
+		if attempts >= maxAttempts {
+			return backend.BatchResult{}, fmt.Errorf("cluster: part failed after %d attempts: %w", attempts, lastErr)
+		}
+		w := next(order, tried, false)
+		if w == nil {
+			pass++
+			clear(tried)
+			w = next(order, tried, false)
+		}
+		if pass > 1 {
+			// Equal jitter: [backoff/2, backoff] decorrelates a retry
+			// stampede while keeping the mean wait meaningful.
+			wait := backoff/2 + time.Duration(rand.Int64N(int64(backoff/2)+1))
+			backoff *= 2
+			if ra := retryAfter[w]; ra > 0 {
+				wait = ra
+			}
+			if dl, ok := ctx.Deadline(); ok && time.Until(dl) <= wait {
+				return backend.BatchResult{}, fmt.Errorf("cluster: next retry on %s would outlive the deadline: %w", w.addr, lastErr)
+			}
+			if !rt.budget.withdraw() {
+				w.budgetDenied.Add(1)
+				return backend.BatchResult{}, fmt.Errorf("cluster: retry on %s: %w (last attempt: %w)", w.addr, ErrRetryBudgetExhausted, lastErr)
+			}
+			select {
+			case <-ctx.Done():
+				return backend.BatchResult{}, ctx.Err()
+			case <-time.After(wait):
+			}
+		}
+		w.retries.Add(1)
+		launch(w, false)
 	}
 }
 
-// hedgeDelay resolves the effective hedge delay for this dispatch, and
-// whether hedging applies at all: disabled by config, or suppressed when
-// the caller's remaining deadline could not outlive the hedge anyway.
+// next returns the part's next untried candidate in order: the first one
+// its breaker admits (a closed circuit, or the half-open probe of an open
+// one past its cooldown). With every untried circuit cut off it returns the
+// first untried candidate anyway, so a fleet-wide brownout degrades instead
+// of wedging — unless hedge is set: a hedge is latency insurance and takes
+// only a closed circuit. nil means every candidate was tried.
+func next(order []*worker, tried map[*worker]bool, hedge bool) *worker {
+	var fallback *worker
+	for _, w := range order {
+		switch {
+		case tried[w]:
+		case hedge:
+			if !w.cb.isOpen() {
+				return w
+			}
+		case w.cb.allow():
+			return w
+		case fallback == nil:
+			fallback = w
+		}
+	}
+	if hedge {
+		return nil
+	}
+	return fallback
+}
+
+// hedgeDelay resolves the effective hedge delay for this part, and whether
+// hedging applies at all: disabled by config, or suppressed when the
+// caller's remaining deadline is no longer than the delay.
 func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 	d := rt.cfg.HedgeAfter
 	if d < 0 {
@@ -646,25 +646,25 @@ func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 	return d, true
 }
 
-// send runs one part on one worker, feeding its circuit breaker: a success
-// closes/credits the circuit and lands in the latency reservoir; a
-// transient failure counts MarkdownAfter consecutive failures at once
-// (the remote already retried). The caller's own death is not the
-// worker's fault and is never charged to the breaker.
+// send runs one attempt on w and feeds its circuit breaker one outcome: a
+// success credits the circuit and lands in the latency reservoir; a
+// transient failure counts one failure. The caller's own cancellation —
+// including a race loser's — is not the worker's fault and is charged
+// nowhere.
 func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (backend.BatchResult, error) {
-	w.inflight.Add(1)
 	start := time.Now()
 	res, err := w.remote.RunBatch(ctx, part)
-	w.inflight.Add(-1)
 	if err == nil {
 		rt.observeLatency(time.Since(start))
-		w.cb.record(false, 1)
+		w.batches.Add(1)
+		w.cb.record(false)
 		return res, nil
 	}
 	if ctx.Err() == nil {
+		w.errors.Add(1)
 		var re *backend.RemoteError
-		if transient := !errors.As(err, &re) || re.Transient(); transient {
-			w.cb.record(true, rt.cfg.markdownAfter())
+		if !errors.As(err, &re) || re.Transient() {
+			w.cb.record(true)
 		}
 	}
 	return backend.BatchResult{}, err
@@ -711,14 +711,14 @@ func (rt *Router) snapshotWorkers() []*worker {
 	return ws
 }
 
-// healthLoop probes every worker each HealthInterval: a 200 from /healthz
+// healthLoop probes every worker each healthInterval: a 200 from /healthz
 // counts as a breaker success (closing an open circuit on recovery),
 // anything else — including a draining worker's 503 — counts one failure
 // toward the breaker's threshold. Open-circuit workers keep being probed;
 // the first healthy answer closes the circuit.
 func (rt *Router) healthLoop(hc *http.Client) {
 	defer rt.loopDone.Done()
-	ticker := time.NewTicker(rt.cfg.healthInterval())
+	ticker := time.NewTicker(healthInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -736,21 +736,21 @@ func (rt *Router) healthLoop(hc *http.Client) {
 func (rt *Router) probe(hc *http.Client, w *worker) {
 	// The health loop outlives any one batch; its probes are detached from
 	// request contexts by design.
-	//llmqlint:detached -- background health loop, bounded by HealthTimeout
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.healthTimeout())
+	//llmqlint:detached -- background health loop, bounded by healthTimeout
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.healthURL, nil)
 	if err != nil {
-		w.cb.record(true, 1)
+		w.cb.record(true)
 		return
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		w.cb.record(true, 1)
+		w.cb.record(true)
 		return
 	}
 	resp.Body.Close()
-	w.cb.record(resp.StatusCode != http.StatusOK, 1)
+	w.cb.record(resp.StatusCode != http.StatusOK)
 }
 
 // WorkerMetrics is one worker's routing accounting.
@@ -760,9 +760,13 @@ func (rt *Router) probe(hc *http.Client, w *worker) {
 //
 //llmqlint:accounting
 type WorkerMetrics struct {
-	// Batches/Retries/Errors/BudgetDenied are the worker's
-	// backend.RemoteStats; Markdowns counts circuit-open transitions;
-	// InFlight is the live dispatched-batch gauge.
+	// Batches counts successful attempts on the worker, Errors failed ones
+	// (the caller's own cancellation excluded), Retries the attempts it
+	// received after a failure of their part (hedges are counted in
+	// Metrics.HedgesLaunched), and BudgetDenied the retries it would have
+	// received that the router-wide budget refused. Markdowns counts
+	// circuit-open transitions; InFlight is the parts holding their
+	// capacity slot on the worker.
 	Batches      int64 `json:"batches"`
 	Retries      int64 `json:"retries"`
 	Errors       int64 `json:"errors"`
@@ -785,7 +789,9 @@ type Metrics struct {
 	// Workers maps worker address to its counters (current fleet members
 	// only; a removed worker's counters leave with it).
 	Workers map[string]WorkerMetrics `json:"workers"`
-	// RingMoves counts batches served off their ring owner (failover);
+	// RingMoves counts moves along the ring: batches placed off their
+	// stage's owner because its circuit was open, and parts served by a
+	// failover or retry attempt on a worker other than their placed one.
 	// HotReplications counts batches that added a replica target because
 	// the primary was saturated.
 	RingMoves       int64 `json:"ringMoves"`
@@ -807,13 +813,12 @@ func (rt *Router) Metrics() Metrics {
 	rt.mu.RLock()
 	ws := make(map[string]WorkerMetrics, len(rt.workers))
 	for addr, w := range rt.workers {
-		rs := w.remote.Stats()
 		state, opens := w.cb.snapshot()
 		ws[addr] = WorkerMetrics{
-			Batches:      rs.Batches,
-			Retries:      rs.Retries,
-			Errors:       rs.Errors,
-			BudgetDenied: rs.BudgetDenied,
+			Batches:      w.batches.Load(),
+			Retries:      w.retries.Load(),
+			Errors:       w.errors.Load(),
+			BudgetDenied: w.budgetDenied.Load(),
 			Markdowns:    opens,
 			InFlight:     w.inflight.Load(),
 			Down:         state != BreakerClosed,

@@ -94,7 +94,7 @@ var clusterStatements = []string{
 // batches demonstrably went over the wire.
 func TestClusterIdenticalRelations(t *testing.T) {
 	rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{HealthInterval: -1})
+		cluster.Config{})
 	for _, sql := range clusterStatements {
 		want := execWith(t, nil, sql) // nil = single-process default backend
 		got := execWith(t, rt, sql)
@@ -145,7 +145,7 @@ func TestClusterStageAffinity(t *testing.T) {
 	simHit, simRes := run(backend.NewSim())
 
 	rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewPersistent(0) },
-		cluster.Config{Capacity: 1, HealthInterval: -1})
+		cluster.Config{Capacity: 1})
 	clusterHit, clusterRes := run(rt)
 
 	if clusterHit <= simHit {
@@ -176,7 +176,7 @@ func TestClusterStageAffinity(t *testing.T) {
 // with an identical relation — and the death is visible as a markdown.
 func TestClusterFailoverOnKilledWorker(t *testing.T) {
 	rt, srvs := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{Capacity: 1, HealthInterval: -1, MaxRetries: -1, RetryBackoff: time.Millisecond})
+		cluster.Config{Capacity: 1})
 
 	sql := clusterStatements[0]
 	want := execWith(t, rt, sql)
@@ -289,10 +289,8 @@ func TestClusterHotStageReplication(t *testing.T) {
 	defer srvB.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:            []string{srvA.URL, srvB.URL},
-		Capacity:           1,
-		ReplicateWatermark: 1,
-		HealthInterval:     -1,
+		Workers:  []string{srvA.URL, srvB.URL},
+		Capacity: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +341,7 @@ func TestClusterHotStageReplication(t *testing.T) {
 // cancellation clause at entry.
 func TestClusterRefusesDeadContext(t *testing.T) {
 	rt, _ := newCluster(t, 2, func() backend.Backend { return backend.NewSim() },
-		cluster.Config{HealthInterval: -1})
+		cluster.Config{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := rt.RunBatch(ctx, clusterSpec("any", []int{2}, 8, 4))
@@ -363,9 +361,7 @@ func TestClusterHealthRecovery(t *testing.T) {
 	defer srv.Close()
 
 	rt, err := cluster.NewRouter(cluster.Config{
-		Workers:        []string{srv.URL},
-		HealthInterval: 10 * time.Millisecond,
-		MarkdownAfter:  1,
+		Workers: []string{srv.URL},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -184,7 +184,7 @@ func parseRule(entry string) (*rule, error) {
 		switch key {
 		case "p":
 			r.p, err = strconv.ParseFloat(val, 64)
-			if err == nil && (r.p < 0 || r.p > 1) {
+			if err == nil && !(r.p >= 0 && r.p <= 1) { // NaN fails both bounds
 				err = fmt.Errorf("p must be in [0,1], got %v", r.p)
 			}
 		case "count":

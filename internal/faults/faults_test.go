@@ -19,6 +19,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"explode",                  // unknown kind
 		"latency:delay",            // malformed param
 		"5xx:p=1.5",                // p out of range
+		"5xx:p=NaN",                // p not a number
 		"5xx:status=200",           // non-5xx status
 		"latency:delay=soon",       // bad duration
 		"seed=ten;latency",         // bad seed

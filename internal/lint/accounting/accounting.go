@@ -47,7 +47,6 @@ var knownTypes = map[string]bool{
 	"repro/internal/backend.ShardStats":       true,
 	"repro/internal/backend.RecordedBatch":    true,
 	"repro/internal/backend.WireResult":       true,
-	"repro/internal/backend.RemoteStats":      true,
 	"repro/internal/cluster.WorkerMetrics":    true,
 	"repro/internal/cluster.Metrics":          true,
 	"repro/internal/faults.Stats":             true,

@@ -298,8 +298,9 @@ type Runtime struct {
 	waitInteractive waitHist
 	waitBatch       waitHist
 
-	planMu sync.Mutex
-	plans  map[string]*sqlfront.Prepared // guarded by planMu
+	planMu    sync.Mutex
+	plans     map[string]*sqlfront.Prepared // guarded by planMu
+	preparing map[string]chan struct{}      // prepares in progress, closed when done; guarded by planMu
 
 	quotaMu sync.Mutex
 	quotas  map[ClientID]*quotaBucket // guarded by quotaMu
@@ -391,14 +392,15 @@ func (h *Handle) WaitContext(ctx context.Context) (*sqlfront.Result, error) {
 // release its workers.
 func New(db *sqlfront.DB, cfg Config) *Runtime {
 	rt := &Runtime{
-		db:      db,
-		cfg:     cfg,
-		queue:   newFairQueue(cfg.queueDepth(), cfg.interactiveWeight(), cfg.batchWeight(), cfg.FIFOAdmission),
-		cache:   newResultCache(cfg.cacheCapacity()),
-		plans:   make(map[string]*sqlfront.Prepared),
-		quotas:  make(map[ClientID]*quotaBucket),
-		clients: make(map[ClientID]*clientCounters),
-		rollups: obs.NewRollups(rollupLimit),
+		db:        db,
+		cfg:       cfg,
+		queue:     newFairQueue(cfg.queueDepth(), cfg.interactiveWeight(), cfg.batchWeight(), cfg.FIFOAdmission),
+		cache:     newResultCache(cfg.cacheCapacity()),
+		plans:     make(map[string]*sqlfront.Prepared),
+		preparing: make(map[string]chan struct{}),
+		quotas:    make(map[ClientID]*quotaBucket),
+		clients:   make(map[ClientID]*clientCounters),
+		rollups:   obs.NewRollups(rollupLimit),
 	}
 	if cfg.traceRingSize() > 0 {
 		rt.traces = obs.NewRing(cfg.traceRingSize())
@@ -647,32 +649,46 @@ func (rt *Runtime) prepared(sql string) (*sqlfront.Prepared, bool, error) {
 	limit := rt.cfg.planCacheCapacity()
 	rt.planMu.Lock()
 	p, ok := rt.plans[sql]
-	rt.planMu.Unlock()
+	// Join a concurrent prepare of the same text instead of repeating it,
+	// so each distinct statement parses and plans once.
+	for wait := rt.preparing[sql]; !ok && wait != nil; wait = rt.preparing[sql] {
+		rt.planMu.Unlock()
+		<-wait
+		rt.planMu.Lock()
+		p, ok = rt.plans[sql]
+	}
 	if ok {
+		rt.planMu.Unlock()
 		rt.c.planCacheHits.Add(1)
 		return p, true, nil
 	}
+	var done chan struct{}
+	if limit > 0 {
+		done = make(chan struct{})
+		rt.preparing[sql] = done
+	}
+	rt.planMu.Unlock()
+
 	p, err := rt.db.Prepare(sql)
+	if done != nil {
+		rt.planMu.Lock()
+		delete(rt.preparing, sql)
+		if err == nil {
+			for len(rt.plans) >= limit {
+				for k := range rt.plans {
+					delete(rt.plans, k)
+					break
+				}
+			}
+			rt.plans[sql] = p
+		}
+		rt.planMu.Unlock()
+		close(done)
+	}
 	if err != nil {
 		return nil, false, err
 	}
 	rt.c.planCacheMisses.Add(1)
-	if limit <= 0 {
-		return p, false, nil
-	}
-	rt.planMu.Lock()
-	if prev, ok := rt.plans[sql]; ok {
-		p = prev // lost a prepare race; share the winner
-	} else {
-		for len(rt.plans) >= limit {
-			for k := range rt.plans {
-				delete(rt.plans, k)
-				break
-			}
-		}
-		rt.plans[sql] = p
-	}
-	rt.planMu.Unlock()
 	return p, false, nil
 }
 

@@ -89,17 +89,17 @@ func renderPrometheus(m runtime.Metrics) string {
 				w.row(name, labels("worker", a), get(c.Workers[a]))
 			}
 		}
-		workerRows("llmq_cluster_worker_batches_total", "counter", "Remote batches served per worker.",
+		workerRows("llmq_cluster_worker_batches_total", "counter", "Successful batch attempts per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Batches) })
-		workerRows("llmq_cluster_worker_retries_total", "counter", "Remote batch retries per worker.",
+		workerRows("llmq_cluster_worker_retries_total", "counter", "Batch attempts per worker made after a failure of their part.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Retries) })
-		workerRows("llmq_cluster_worker_errors_total", "counter", "Remote batches failed per worker.",
+		workerRows("llmq_cluster_worker_errors_total", "counter", "Failed batch attempts per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Errors) })
 		workerRows("llmq_cluster_worker_markdowns_total", "counter", "Health mark-down transitions per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Markdowns) })
-		workerRows("llmq_cluster_worker_budget_denied_total", "counter", "Batches failed fast per worker because the shared retry budget was empty.",
+		workerRows("llmq_cluster_worker_budget_denied_total", "counter", "Retries per worker refused by the router-wide retry budget.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.BudgetDenied) })
-		workerRows("llmq_cluster_worker_inflight", "gauge", "Batches currently dispatched per worker.",
+		workerRows("llmq_cluster_worker_inflight", "gauge", "Batch parts holding their capacity slot per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.InFlight) })
 		workerRows("llmq_cluster_worker_down", "gauge", "1 while the worker is marked down.",
 			func(wm cluster.WorkerMetrics) float64 { return boolGauge(wm.Down) })
@@ -107,7 +107,7 @@ func renderPrometheus(m runtime.Metrics) string {
 			func(wm cluster.WorkerMetrics) float64 { return breakerGauge(wm.Breaker) })
 		workerRows("llmq_cluster_breaker_opens_total", "counter", "Circuit-open transitions per worker.",
 			func(wm cluster.WorkerMetrics) float64 { return float64(wm.Markdowns) })
-		w.family("llmq_cluster_ring_moves_total", "counter", "Batches served off their ring owner (failover).")
+		w.family("llmq_cluster_ring_moves_total", "counter", "Moves along the ring: batches placed off an open owner, parts served by failover.")
 		w.row("llmq_cluster_ring_moves_total", "", float64(c.RingMoves))
 		w.family("llmq_cluster_hot_replications_total", "counter", "Batches that replicated a hot stage onto a second worker.")
 		w.row("llmq_cluster_hot_replications_total", "", float64(c.HotReplications))

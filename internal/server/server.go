@@ -332,13 +332,6 @@ type SQLRequest struct {
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 	// Options is the execution-options envelope.
 	Options *SQLOptions `json:"options,omitempty"`
-
-	// Naive and Policy at the top level are deprecated in favor of the
-	// options envelope. Both forms are accepted for one release; using the
-	// top-level fields adds a "deprecated" warning list to the response,
-	// and the envelope wins when both are present.
-	Naive  *bool  `json:"naive,omitempty"`
-	Policy string `json:"policy,omitempty"`
 }
 
 // SQLResponse carries the result relation, the statement's own serving
@@ -359,9 +352,6 @@ type SQLResponse struct {
 	SolverMs float64 `json:"solverMs"`
 	LLMCalls int     `json:"llmCalls"`
 	Stages   int     `json:"stages"`
-	// Deprecated warns, per deprecated request field used, what to use
-	// instead. Absent when the request used only current fields.
-	Deprecated []string `json:"deprecated,omitempty"`
 	// Trace is the statement's span tree, present only when the request set
 	// options.trace. See docs/API.md for the schema.
 	Trace *obs.Trace `json:"trace,omitempty"`
@@ -395,23 +385,10 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := runtime.Options{Client: runtime.ClientID(req.Client), Class: class}
-	var deprecated []string
 	if req.Options != nil {
 		opts.Naive = req.Options.Naive
 		opts.Policy = query.Policy(req.Options.Policy)
 		opts.Trace = req.Options.Trace
-	}
-	if req.Naive != nil {
-		deprecated = append(deprecated, `top-level "naive" is deprecated: use options.naive`)
-		if req.Options == nil {
-			opts.Naive = *req.Naive
-		}
-	}
-	if req.Policy != "" {
-		deprecated = append(deprecated, `top-level "policy" is deprecated: use options.policy`)
-		if req.Options == nil {
-			opts.Policy = query.Policy(req.Policy)
-		}
 	}
 	// The statement is scoped to the request: a client that disconnects (or
 	// times out) cancels its statement instead of leaving it running. A
@@ -431,17 +408,16 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 		code = writeExecError(w, err)
 	} else {
 		resp := SQLResponse{
-			Columns:    res.Columns,
-			Rows:       res.Rows,
-			Client:     string(normalizeClient(req.Client)),
-			Class:      string(class),
-			JCT:        res.JCT,
-			HitRate:    res.HitRate,
-			SolverMs:   res.SolverSeconds * 1000,
-			LLMCalls:   res.LLMCalls,
-			Stages:     res.Stages,
-			Deprecated: deprecated,
-			Runtime:    rt.Metrics(),
+			Columns:  res.Columns,
+			Rows:     res.Rows,
+			Client:   string(normalizeClient(req.Client)),
+			Class:    string(class),
+			JCT:      res.JCT,
+			HitRate:  res.HitRate,
+			SolverMs: res.SolverSeconds * 1000,
+			LLMCalls: res.LLMCalls,
+			Stages:   res.Stages,
+			Runtime:  rt.Metrics(),
 		}
 		if opts.Trace {
 			resp.Trace = h.Trace()

@@ -270,47 +270,28 @@ func TestSQLEndpointNaiveToggle(t *testing.T) {
 	if len(naive.Rows) != len(planned.Rows) {
 		t.Errorf("naive rows = %d, planned rows = %d", len(naive.Rows), len(planned.Rows))
 	}
-	if len(naive.Deprecated) != 0 || len(planned.Deprecated) != 0 {
-		t.Errorf("options envelope flagged as deprecated: %v %v", naive.Deprecated, planned.Deprecated)
-	}
 }
 
-// TestSQLEndpointLegacyBody: a pre-envelope request body — top-level naive
-// and policy, no options object — still executes identically, and the
-// response carries deprecation warnings naming the replacement fields.
+// TestSQLEndpointLegacyBody: the pre-envelope top-level naive and policy
+// fields are gone, so a legacy body is an unknown-field 400 invalid_request
+// rather than a silently different plan.
 func TestSQLEndpointLegacyBody(t *testing.T) {
 	h, _ := sqlHandler(t)
 	stmt := `SELECT ticket_id, LLM('Summarize.', request) AS s FROM tickets
 	         WHERE LLM('Summarize.', request) <> 'x' AND region = 'amer'`
-	raw := `{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "policy": "no-cache"}`
-	req := httptest.NewRequest(http.MethodPost, "/v1/sql", bytes.NewReader([]byte(raw)))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("legacy body rejected: %d: %s", rec.Code, rec.Body.String())
-	}
-	legacy := decode[SQLResponse](t, rec)
-	if len(legacy.Deprecated) != 2 {
-		t.Errorf("deprecated warnings = %v, want one each for naive and policy", legacy.Deprecated)
-	}
-	enveloped := decode[SQLResponse](t, post(t, h, "/v1/sql", SQLRequest{
-		SQL: stmt, Options: &SQLOptions{Naive: true, Policy: "no-cache"},
-	}))
-	if len(legacy.Rows) != len(enveloped.Rows) || legacy.Stages != enveloped.Stages {
-		t.Errorf("legacy body executed differently: %d rows/%d stages vs %d rows/%d stages",
-			len(legacy.Rows), legacy.Stages, len(enveloped.Rows), enveloped.Stages)
-	}
-	// When both forms are present, the envelope wins.
-	raw = `{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "options": {"policy": "no-cache"}}`
-	req = httptest.NewRequest(http.MethodPost, "/v1/sql", bytes.NewReader([]byte(raw)))
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	both := decode[SQLResponse](t, rec)
-	if both.Stages != enveloped.Stages-1 {
-		t.Errorf("envelope should win over top-level naive: stages = %d, want planned %d", both.Stages, enveloped.Stages-1)
-	}
-	if len(both.Deprecated) != 1 {
-		t.Errorf("deprecated warnings = %v, want one for naive", both.Deprecated)
+	for _, raw := range []string{
+		`{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "policy": "no-cache"}`,
+		`{"sql": ` + strconv.Quote(stmt) + `, "naive": true, "options": {"policy": "no-cache"}}`,
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/sql", bytes.NewReader([]byte(raw)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("legacy body %s: status %d, want 400: %s", raw, rec.Code, rec.Body.String())
+		}
+		if env := decode[ErrorResponse](t, rec); env.Error.Code != ErrCodeInvalidRequest {
+			t.Errorf("legacy body %s: error code = %q, want %q", raw, env.Error.Code, ErrCodeInvalidRequest)
+		}
 	}
 }
 

@@ -328,14 +328,13 @@ type (
 	ShardedBackend    = backend.Sharded
 	RecordingBackend  = backend.Recording
 	RecordedBatch     = backend.RecordedBatch
-	// RemoteBackend serves batches on a cluster worker over POST /v1/batch;
 	// ClusterRouter consistent-hashes stage fingerprints across a worker
-	// fleet (stage-affine placement, capacity-driven fan-out, health-checked
-	// failover). Both implement Backend; see internal/cluster.
-	RemoteBackend       = backend.Remote
-	RemoteBackendConfig = backend.RemoteConfig
-	ClusterRouter       = cluster.Router
-	ClusterConfig       = cluster.Config
+	// fleet (stage-affine placement, capacity-driven fan-out, failover,
+	// retries and hedges from one budget) and implements Backend; a
+	// one-worker router is the client for a single remote worker. See
+	// internal/cluster.
+	ClusterRouter = cluster.Router
+	ClusterConfig = cluster.Config
 )
 
 // NewSimBackend returns the default per-batch backend: one confined engine
@@ -364,12 +363,6 @@ func NewShardedBackend(inner Backend, shards int) (*ShardedBackend, error) {
 // a log of every batch served — stage key, rows, output budgets, engine
 // metrics — for tests and metrics pipelines.
 func NewRecordingBackend(inner Backend) *RecordingBackend { return backend.NewRecording(inner) }
-
-// NewRemoteBackend returns a backend serving every batch on the cluster
-// worker at cfg.Addr over POST /v1/batch, with context deadline propagation
-// and bounded retries on transient failures. Start the worker with
-// `llmqserve -worker`.
-func NewRemoteBackend(cfg RemoteBackendConfig) (*RemoteBackend, error) { return backend.NewRemote(cfg) }
 
 // NewClusterRouter returns the fleet backend: batches are consistent-hashed
 // by stage fingerprint onto the worker ring so persistent engines stay
@@ -451,7 +444,8 @@ type (
 	ExperimentReport = bench.Report
 )
 
-// Experiments lists every reproducible table/figure ID (see DESIGN.md §4).
+// Experiments lists every reproducible table/figure ID, in presentation
+// order; the internal/bench registry maps each to its paper artifact.
 func Experiments() []string { return bench.Experiments() }
 
 // RunExperiment regenerates one of the paper's tables or figures.
