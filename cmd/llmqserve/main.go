@@ -50,9 +50,12 @@
 // repeated dashboard refreshes hit prefixes cached by earlier refreshes —
 // and concurrent windows on one hot stage overlap on separate replicas.
 // -shards N (or the sharded-sim/sharded-persistent names) adds data-parallel
-// execution: each coalesced batch is split at its prefix-group boundaries
-// and fanned out over N concurrent engine runs, cutting batch latency while
-// keeping relations byte-identical.
+// execution: the backend becomes the one member of an in-process cluster
+// router with N part slots, so each coalesced batch is split at its
+// prefix-group boundaries and fanned out over up to N concurrent engine
+// runs, cutting batch latency while keeping relations byte-identical.
+// Concurrent batches share the N slots, and /v1/metrics reports them as
+// cluster worker "local".
 //
 // The distributed tier turns one llmqserve into a fleet. -worker runs this
 // process as a cluster worker: POST /v1/batch executes remote batches on
@@ -140,7 +143,7 @@ func main() {
 		quotaTokB   = flag.Float64("quota-token-burst", 0, "token-quota burst capacity (default max(1, -quota-tokens))")
 		cache       = flag.Int("cache", 65536, "result cache capacity in entries (negative disables)")
 		backendName = flag.String("backend", "sim", "serving backend: sim (one engine per batch), persistent (long-lived engine replicas per stage, prefix cache survives between batches), or sharded-sim/sharded-persistent (data-parallel fan-out)")
-		shards      = flag.Int("shards", 1, "data-parallel shards per batch: >1 wraps -backend in a sharded fan-out (sharded-* backends default to 4)")
+		shards      = flag.Int("shards", 1, "data-parallel part slots: >1 serves -backend through an in-process cluster router that splits each batch into up to this many concurrent parts, shared by concurrent batches (sharded-* backends default to 4)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests")
 		slowQuery   = flag.Duration("slow-query", 0, "slow-query threshold: statements at least this slow are logged and their traces retained in /v1/traces (0 disables)")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
@@ -247,7 +250,10 @@ func main() {
 		logger.Info("llmqserve: no tables registered; /v1/sql disabled (use -csv/-dataset)")
 	}
 
-	router, _ := be.(*cluster.Router)
+	var router *cluster.Router // the fleet admin endpoint: remote routers only
+	if *backendName == "remote" {
+		router, _ = be.(*cluster.Router)
+	}
 	handler := server.NewWithConfig(server.Config{Runtime: rt, Worker: worker, Cluster: router, AccessLog: logger})
 	if injector != nil && *workerMode {
 		// Worker-side chaos faults the wire as served: 5xx answers, corrupt

@@ -30,8 +30,9 @@
 // replicas whose prefix cache survives between this statement's stages that
 // share a prompt, "sharded-sim"/"sharded-persistent" = the same behind a
 // data-parallel fan-out, "remote" = a cluster router over the workers named
-// by -cluster-workers) and -shards N composes a fan-out of N engine
-// replicas with the local backends. None of these change results; serving
+// by -cluster-workers) and -shards N composes a fan-out of up to N
+// concurrent parts with the local backends: an in-process cluster router
+// whose one member is the backend. None of these change results; serving
 // statistics print on stderr.
 //
 // Statements run on the same multi-tenant runtime llmqserve serves from, so
@@ -81,7 +82,7 @@ func main() {
 		client  = flag.String("client", "", "client identity the statement is accounted to (default anonymous)")
 		class   = flag.String("class", "", "service class: interactive (default) or batch")
 		beName  = flag.String("backend", "sim", "serving backend: sim, persistent, sharded-sim, sharded-persistent, or remote (cluster router; needs -cluster-workers)")
-		shards  = flag.Int("shards", 1, "data-parallel shards per batch: >1 wraps -backend in a sharded fan-out (sharded-* backends default to 4)")
+		shards  = flag.Int("shards", 1, "data-parallel part slots: >1 serves -backend through an in-process cluster router that splits each batch into up to this many concurrent parts (sharded-* backends default to 4)")
 		workers = flag.String("cluster-workers", "", "comma-separated worker addresses for -backend remote")
 		maxRows = flag.Int("max-rows", 20, "result rows to print (0 = all)")
 		faultsF = flag.String("faults", "", "chaos fault-injection spec (see docs/API.md): faults the serving path — router→worker wire with -backend remote, the local backend otherwise")

@@ -5,7 +5,7 @@
 // The layers above (internal/query, internal/sqlfront, internal/runtime)
 // decide WHAT to serve — which rows, in which order, with which per-row
 // output budgets — and hand the finished schedule to a Backend as one
-// BatchSpec. The Backend decides WHERE and HOW it is served. Four
+// BatchSpec. The Backend decides WHERE and HOW it is served. Three
 // implementations ship:
 //
 //   - Sim: one confined engine + KV cache per batch (the paper's setting,
@@ -15,10 +15,13 @@
 //     span batch windows — the cross-statement KV-cache persistence the
 //     single-run design could not express — while concurrent batches on one
 //     hot stage overlap on separate replicas.
-//   - Sharded: a data-parallel decorator that splits one batch at its
-//     prefix-group boundaries (BatchSpec.Groups) and fans the shards out to
-//     concurrent runs on the wrapped backend.
 //   - Recording: a decorator that logs every batch for tests and metrics.
+//
+// Remote is the transport cluster.Router dispatches over: one /v1/batch
+// round trip to a cluster worker. Splitting one batch across concurrent
+// runs is the router's job alone, over remote workers or an in-process
+// backend (static sharding, cluster.NewLocal); SplitByGroups and
+// MergeBatchResults are its cut and merge.
 //
 // Because the simulated oracle answers outside the engine (answers are
 // content-keyed in the query layer), swapping backends changes serving cost
@@ -31,8 +34,6 @@ package backend
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
 	"repro/internal/llmsim"
 )
@@ -92,50 +93,6 @@ type BatchResult struct {
 type Backend interface {
 	RunBatch(ctx context.Context, spec BatchSpec) (BatchResult, error)
 	Close() error
-}
-
-// ByName builds a backend from its flag/config name — the single resolver
-// behind every -backend flag, so the tools and benches cannot drift apart:
-// "sim" is the per-batch engine, "persistent" a NewPersistent with the
-// default engine budget, and "sharded-sim"/"sharded-persistent" wrap those
-// in a Sharded decorator with DefaultShards shards.
-func ByName(name string) (Backend, error) {
-	return ByNameShards(name, 1)
-}
-
-// ByNameShards is ByName composed with a shard count: shards > 1 wraps the
-// named backend in NewSharded (the -shards flag on llmqserve/llmqsql), and
-// the "sharded-*" names imply DefaultShards when shards is 1. shards < 1 is
-// an error.
-func ByNameShards(name string, shards int) (Backend, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("backend: shards must be >= 1, got %d", shards)
-	}
-	base := name
-	if inner, ok := strings.CutPrefix(name, "sharded-"); ok {
-		base = inner
-		if shards == 1 {
-			shards = DefaultShards
-		}
-	}
-	var be Backend
-	switch base {
-	case "sim":
-		be = NewSim()
-	case "persistent":
-		be = NewPersistent(0)
-	case "remote":
-		// The remote backend exists (NewRemote / cluster.Router) but needs
-		// worker addresses this resolver does not carry; both CLIs resolve it
-		// through cluster.Resolve, which delegates every other name back here.
-		return nil, fmt.Errorf("backend: backend %q needs cluster worker addresses: pass -cluster-workers host:port,... (resolved via cluster.Resolve)", name)
-	default:
-		return nil, fmt.Errorf("backend: unknown backend %q: want sim, persistent, sharded-sim, sharded-persistent, or remote", name)
-	}
-	if shards > 1 {
-		return NewSharded(be, shards)
-	}
-	return be, nil
 }
 
 // interruptFor adapts a context to the engine's per-step cancellation hook.

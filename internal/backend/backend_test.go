@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/query"
 	"repro/internal/sqlfront"
 	"repro/internal/table"
@@ -41,12 +42,12 @@ var conformanceStatements = []string{
 }
 
 // backends lists every shipped Backend under test, each built fresh per
-// subtest so persistent state never leaks between cases. The sharded
-// decorators run over both engine-owning backends so the data-parallel path
-// is held to the same result-identity bar.
+// subtest so persistent state never leaks between cases. Static sharding
+// (cluster.NewLocal) runs over both engine-owning backends so the
+// data-parallel path is held to the same result-identity bar.
 func backends() map[string]func() backend.Backend {
 	mustShard := func(inner backend.Backend) backend.Backend {
-		s, err := backend.NewSharded(inner, 3)
+		s, err := cluster.NewLocal(inner, 3)
 		if err != nil {
 			panic(err)
 		}

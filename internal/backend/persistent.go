@@ -36,8 +36,8 @@ const DefaultStageReplicas = 4
 // idle replica (cache-hot first), grows the pool when none is idle, and
 // waits for a release once the pool is at its per-stage cap. A sequential
 // workload therefore keeps the old single-engine behavior — one replica,
-// one ever-warmer cache — while a Sharded decorator or concurrent runtime
-// workers fan batches across the pool.
+// one ever-warmer cache — while static sharding (cluster.NewLocal) or
+// concurrent runtime workers fan batches across the pool.
 //
 // Memory: the LRU budget counts replicas. Creating a replica past the
 // budget first evicts idle replicas from the least recently used stages

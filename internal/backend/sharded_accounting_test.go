@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/llmsim"
 	"repro/internal/tokenizer"
 )
@@ -94,7 +95,7 @@ func TestShardedMergeConservation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := &meteredInner{}
-			sh, err := backend.NewSharded(inner, tc.shards)
+			sh, err := cluster.NewLocal(inner, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,20 +188,10 @@ func TestShardedMergeConservation(t *testing.T) {
 				}
 			}
 
-			// ShardStats move only on an actual split, and then agree with
-			// the sub-batch count.
-			st := sh.Stats()
-			if tc.wantSplit == 0 {
-				if st.ShardedBatches != 0 || st.ShardRuns != 0 {
-					t.Errorf("passthrough moved ShardStats: %+v", st)
-				}
-			} else {
-				if st.ShardedBatches != 1 {
-					t.Errorf("ShardedBatches = %d, want 1", st.ShardedBatches)
-				}
-				if st.ShardRuns != int64(len(inner.batches)) {
-					t.Errorf("ShardRuns = %d, inner saw %d sub-batches", st.ShardRuns, len(inner.batches))
-				}
+			// The in-process member counts one batch per part: the whole
+			// batch on a passthrough, one per sub-batch on a split.
+			if got := localBatches(sh); got != int64(len(inner.batches)) {
+				t.Errorf("member served %d parts, inner saw %d sub-batches", got, len(inner.batches))
 			}
 		})
 	}

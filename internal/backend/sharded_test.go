@@ -4,22 +4,27 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/query"
 	"repro/internal/sqlfront"
 )
 
-// TestShardedSplitsHotBatch drives one statement through a Sharded decorator
-// over a Recording tap and asserts the batch actually fanned out: several
-// sub-batches, whose rows sum to the statement's model calls, all under one
-// stage key, with the decorator's counters agreeing.
+// localBatches is the parts a static sharding router's in-process member
+// has served.
+func localBatches(r *cluster.Router) int64 { return r.Metrics().Workers["local"].Batches }
+
+// TestShardedSplitsHotBatch drives one statement through static sharding
+// (an in-process router) over a Recording tap and asserts the batch
+// actually fanned out: several sub-batches, whose rows sum to the
+// statement's model calls, all under one stage key, with the router's
+// counters agreeing.
 func TestShardedSplitsHotBatch(t *testing.T) {
 	rec := backend.NewRecording(nil)
-	sh, err := backend.NewSharded(rec, 4)
+	sh, err := cluster.NewLocal(rec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +37,11 @@ func TestShardedSplitsHotBatch(t *testing.T) {
 	}
 	rows := 0
 	keys := map[string]bool{}
+	var jct float64
 	for _, b := range batches {
 		rows += b.Rows
 		keys[b.StageKey] = true
+		jct += b.Metrics.JCT
 	}
 	if rows != res.LLMCalls {
 		t.Errorf("sub-batch rows sum to %d, statement reported %d model calls", rows, res.LLMCalls)
@@ -42,11 +49,10 @@ func TestShardedSplitsHotBatch(t *testing.T) {
 	if len(keys) != 1 {
 		t.Errorf("sub-batches spread over %d stage keys, want 1 (shards share the stage)", len(keys))
 	}
-	st := sh.Stats()
-	if st.ShardedBatches == 0 || st.ShardRuns != int64(len(batches)) {
-		t.Errorf("ShardStats = %+v, recording saw %d sub-batches", st, len(batches))
+	if got := localBatches(sh); got != int64(len(batches)) {
+		t.Errorf("in-process member served %d parts, recording saw %d sub-batches", got, len(batches))
 	}
-	if st.ShardJCTSeconds <= 0 {
+	if jct <= 0 {
 		t.Error("no per-shard JCT accounted")
 	}
 }
@@ -55,7 +61,7 @@ func TestShardedSplitsHotBatch(t *testing.T) {
 // without group annotations, runs exactly one inner batch.
 func TestShardedPassthrough(t *testing.T) {
 	rec := backend.NewRecording(nil)
-	sh, err := backend.NewSharded(rec, 1)
+	sh, err := cluster.NewLocal(rec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,63 +70,17 @@ func TestShardedPassthrough(t *testing.T) {
 	if n := len(rec.Batches()); n != 1 {
 		t.Fatalf("shards=1 recorded %d batches, want 1 (passthrough)", n)
 	}
-	if st := sh.Stats(); st.ShardedBatches != 0 || st.ShardRuns != 0 {
-		t.Errorf("passthrough counted as sharded: %+v", st)
+	if got := localBatches(sh); got != 1 {
+		t.Errorf("passthrough served %d parts, want 1", got)
 	}
 }
 
 // TestNewShardedRejectsBadCount pins the shards >= 1 contract.
 func TestNewShardedRejectsBadCount(t *testing.T) {
 	for _, n := range []int{0, -1} {
-		if _, err := backend.NewSharded(backend.NewSim(), n); err == nil {
-			t.Errorf("NewSharded(_, %d) succeeded, want error", n)
+		if _, err := cluster.NewLocal(backend.NewSim(), n); err == nil {
+			t.Errorf("NewLocal(_, %d) succeeded, want error", n)
 		}
-	}
-}
-
-// TestByNameShards pins the flag resolver: plain names, sharded-* names with
-// their default fan-out, -shards composition, and the error cases.
-func TestByNameShards(t *testing.T) {
-	cases := []struct {
-		name   string
-		shards int
-		want   string // "" = error expected
-		width  int    // expected Shards() when the result is *Sharded
-	}{
-		{"sim", 1, "*backend.Sim", 0},
-		{"persistent", 1, "*backend.Persistent", 0},
-		{"sim", 4, "*backend.Sharded", 4},
-		{"persistent", 2, "*backend.Sharded", 2},
-		{"sharded-sim", 1, "*backend.Sharded", backend.DefaultShards},
-		{"sharded-persistent", 1, "*backend.Sharded", backend.DefaultShards},
-		{"sharded-sim", 8, "*backend.Sharded", 8},
-		{"sim", 0, "", 0},
-		{"sim", -3, "", 0},
-		{"sharded-bogus", 1, "", 0},
-		{"bogus", 1, "", 0},
-	}
-	for _, tc := range cases {
-		be, err := backend.ByNameShards(tc.name, tc.shards)
-		if tc.want == "" {
-			if err == nil {
-				t.Errorf("ByNameShards(%q, %d) succeeded, want error", tc.name, tc.shards)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ByNameShards(%q, %d): %v", tc.name, tc.shards, err)
-			continue
-		}
-		if got := fmt.Sprintf("%T", be); got != tc.want {
-			t.Errorf("ByNameShards(%q, %d) = %s, want %s", tc.name, tc.shards, got, tc.want)
-		}
-		if sh, ok := be.(*backend.Sharded); ok && sh.Shards() != tc.width {
-			t.Errorf("ByNameShards(%q, %d) fan-out = %d, want %d", tc.name, tc.shards, sh.Shards(), tc.width)
-		}
-		be.Close()
-	}
-	if _, err := backend.ByName("nope"); err == nil || !strings.Contains(err.Error(), "sharded-sim") {
-		t.Errorf("ByName error should list the sharded names, got: %v", err)
 	}
 }
 
@@ -150,7 +110,7 @@ func (f *failNthBackend) Close() error { return f.inner.Close() }
 // context.Canceled.
 func TestShardedSurfacesRealShardError(t *testing.T) {
 	inner := &failNthBackend{inner: backend.NewSim(), n: 1}
-	sh, err := backend.NewSharded(inner, 4)
+	sh, err := cluster.NewLocal(inner, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +157,7 @@ func TestShardedPreservesHitTokens(t *testing.T) {
 		return matched, res
 	}
 	baseHit, baseRes := run(backend.NewSim())
-	sh, err := backend.NewSharded(backend.NewSim(), 4)
+	sh, err := cluster.NewLocal(backend.NewSim(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,3 +6,6 @@ const (
 	BudgetRatio = budgetRatio
 	BudgetBurst = budgetBurst
 )
+
+// Capacity is the router's per-member part budget.
+func (rt *Router) Capacity() int { return rt.cfg.capacity() }

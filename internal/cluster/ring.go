@@ -1,7 +1,9 @@
 // Package cluster turns one llmqserve into a fleet: a consistent-hash
 // router (Router) that keeps batches stage-affine across worker processes,
 // so each hot stage's KV cache warms on exactly one node fleet-wide, plus
-// the name resolution (Resolve) both CLIs share.
+// the name resolution (Resolve) both CLIs share. The same router over one
+// in-process member (NewLocal) is static sharding, so it is the only code
+// that splits a batch across concurrent runs.
 //
 // The seam is the existing backend contract: workers expose their local
 // Backend over POST /v1/batch (internal/server), the router speaks it via

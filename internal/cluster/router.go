@@ -102,12 +102,13 @@ func (b *budget) withdraw() bool {
 	return true
 }
 
-// worker is the router's view of one fleet member. A worker's "down" state
-// is its circuit breaker being non-closed.
+// worker is the router's view of one fleet member: a remote worker reached
+// over /v1/batch, or an in-process backend (NewLocal). A worker's "down"
+// state is its circuit breaker being non-closed.
 type worker struct {
 	addr      string
-	healthURL string
-	remote    *backend.Remote
+	healthURL string          // "" for an in-process member, which is never probed
+	be        backend.Backend // a *backend.Remote, or the in-process backend
 	cb        *breaker
 
 	inflight     atomic.Int64 // parts holding their capacity slot here
@@ -118,6 +119,10 @@ type worker struct {
 }
 
 func (w *worker) isDown() bool { return w.cb.isOpen() }
+
+// inProcess reports a NewLocal member: its errors are final (no failover,
+// retry or hedge) and never reach its breaker.
+func (w *worker) inProcess() bool { return w.healthURL == "" }
 
 // Router is the cluster Backend: it consistent-hashes each batch's StageKey
 // onto the worker ring so persistent engines stay stage-affine fleet-wide,
@@ -132,8 +137,7 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 //  2. If the primary is saturated (Capacity parts in flight) the next ring
 //     node joins as a replica target (counted as a hot replication): the
 //     stage's prefix warms on a second node, trading one extra warm-up for
-//     parallelism — the dynamic version of backend.Sharded's static
-//     fan-out.
+//     parallelism.
 //  3. Fan-out width is min(group count, live spare capacity across the
 //     chosen targets), never a static flag: the batch splits along its
 //     prefix-group boundaries (backend.SplitByGroups) and parts go to the
@@ -169,6 +173,11 @@ func (w *worker) isDown() bool { return w.cb.isOpen() }
 // Results merge with backend.MergeBatchResults, so accounting is conserved:
 // each part's tokens and calls count exactly once however many workers were
 // tried.
+//
+// The same router is static sharding when its one member is in-process
+// (NewLocal): an idle member splits a grouped batch into min(groups,
+// Capacity) parts, and concurrent batches share the member's Capacity part
+// slots.
 type Router struct {
 	cfg    Config
 	hc     *http.Client
@@ -223,6 +232,36 @@ func NewRouter(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
+// DefaultShards is the in-process fan-out the "sharded-*" backend names use
+// when no explicit -shards value composes with them.
+const DefaultShards = 4
+
+// localAddr names NewLocal's member in Metrics and the exposition.
+const localAddr = "local"
+
+// NewLocal is static sharding: a router whose one ring member is the
+// in-process inner backend (nil is a fresh backend.Sim) with capacity part
+// slots. A grouped batch splits at its prefix-group boundaries into up to
+// capacity parts served concurrently on inner; capacity 1 passes every
+// batch through whole. The member is never probed — the router runs no
+// health loop — and its errors are final: no failover, retry or hedge.
+// capacity < 1 is an error.
+func NewLocal(inner backend.Backend, capacity int) (*Router, error) {
+	if capacity < 1 {
+		return nil, fmt.Errorf("cluster: in-process member needs capacity >= 1, got %d", capacity)
+	}
+	if inner == nil {
+		inner = backend.NewSim()
+	}
+	rg, err := newRing([]string{localAddr})
+	if err != nil {
+		return nil, err
+	}
+	w := &worker{addr: localAddr, be: inner, cb: newBreaker(breakerConfig{})}
+	return &Router{cfg: Config{Capacity: capacity, HedgeAfter: -1}, hc: &http.Client{}, budget: budget{tokens: budgetBurst},
+		ring: rg, workers: map[string]*worker{localAddr: w}, stop: make(chan struct{})}, nil
+}
+
 // newWorker builds the router's view of one fleet member.
 func newWorker(hc *http.Client, addr string) (*worker, error) {
 	rem, err := backend.NewRemote(backend.RemoteConfig{Addr: addr, Client: hc})
@@ -236,7 +275,7 @@ func newWorker(hc *http.Client, addr string) (*worker, error) {
 	return &worker{
 		addr:      addr,
 		healthURL: strings.TrimRight(base, "/") + "/healthz",
-		remote:    rem,
+		be:        rem,
 		cb:        newBreaker(breakerConfig{}),
 	}, nil
 }
@@ -325,7 +364,7 @@ func (rt *Router) RemoveWorker(addr string) error {
 		for w.inflight.Load() > 0 && !rt.closed.Load() {
 			time.Sleep(5 * time.Millisecond)
 		}
-		_ = w.remote.Close()
+		_ = w.be.Close()
 	}()
 	return nil
 }
@@ -447,8 +486,9 @@ func (rt *Router) RunBatch(ctx context.Context, spec backend.BatchSpec) (backend
 		if firstErr == nil {
 			firstErr = err
 		}
-		// Prefer the root cause over peers' fail-fast cancellations (same
-		// contract as backend.Sharded).
+		// A failing part cancels its peers, which then report
+		// context.Canceled: surface the root cause, the first error that is
+		// not a cancellation.
 		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 			firstErr = err
 			break
@@ -550,6 +590,9 @@ func (rt *Router) runPart(ctx context.Context, part backend.BatchSpec, first *wo
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return backend.BatchResult{}, ctxErr
 			}
+			if a.w.inProcess() {
+				return backend.BatchResult{}, a.err
+			}
 			var re *backend.RemoteError
 			if errors.As(a.err, &re) {
 				if !re.Transient() {
@@ -648,12 +691,12 @@ func (rt *Router) hedgeDelay(ctx context.Context) (time.Duration, bool) {
 
 // send runs one attempt on w and feeds its circuit breaker one outcome: a
 // success credits the circuit and lands in the latency reservoir; a
-// transient failure counts one failure. The caller's own cancellation —
-// including a race loser's — is not the worker's fault and is charged
-// nowhere.
+// transient remote failure counts one failure. The caller's own
+// cancellation — including a race loser's — is not the worker's fault and
+// is charged nowhere.
 func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (backend.BatchResult, error) {
 	start := time.Now()
-	res, err := w.remote.RunBatch(ctx, part)
+	res, err := w.be.RunBatch(ctx, part)
 	if err == nil {
 		rt.observeLatency(time.Since(start))
 		w.batches.Add(1)
@@ -663,7 +706,7 @@ func (rt *Router) send(ctx context.Context, part backend.BatchSpec, w *worker) (
 	if ctx.Err() == nil {
 		w.errors.Add(1)
 		var re *backend.RemoteError
-		if !errors.As(err, &re) || re.Transient() {
+		if !w.inProcess() && (!errors.As(err, &re) || re.Transient()) {
 			w.cb.record(true)
 		}
 	}
@@ -839,8 +882,8 @@ func (rt *Router) Metrics() Metrics {
 }
 
 // Close stops the health loop, waits for removed-worker drains, and closes
-// every worker connection. Worker processes are not owned by the router and
-// keep serving.
+// every member: remote workers' connections (worker processes are not owned
+// by the router and keep serving) and an in-process member's backend.
 func (rt *Router) Close() error {
 	rt.closed.Store(true)
 	rt.stopOnce.Do(func() { close(rt.stop) })
@@ -848,7 +891,7 @@ func (rt *Router) Close() error {
 	rt.drains.Wait()
 	var firstErr error
 	for _, w := range rt.snapshotWorkers() {
-		if err := w.remote.Close(); err != nil && firstErr == nil {
+		if err := w.be.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -46,7 +46,7 @@ func GroupStarts(s *Schedule) []int {
 // item indices of each bin, every bin non-empty, indices ascending within a
 // bin. The greedy guarantees max bin weight <= total/bins + max item weight.
 // Shared by schedule partitioning here and request partitioning in
-// internal/backend's Sharded decorator.
+// backend.SplitByGroups, the cut behind cluster.Router's fan-out.
 func PackGroups(weights []int64, bins int) [][]int {
 	n := len(weights)
 	if n == 0 || bins < 1 {

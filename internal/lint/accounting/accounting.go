@@ -1,7 +1,7 @@
 // Package accounting guards the serving pipeline's conservation laws at
 // their weakest point: partially keyed composite literals. BatchResult,
-// StageResult, and their kin flow through merges (backend.Sharded sums
-// shards), attributions (the runtime copies batch metrics into member
+// StageResult, and their kin flow through merges (cluster.Router sums
+// the parts of a split batch), attributions (the runtime copies batch metrics into member
 // results), and the /v1/metrics endpoint; a constructor that keys some
 // counting fields but silently omits another ships a zero that corrupts
 // fleet accounting without failing any functional test.
@@ -44,7 +44,6 @@ var Analyzer = &analysis.Analyzer{
 // (each also carries the in-source annotation for readers).
 var knownTypes = map[string]bool{
 	"repro/internal/backend.BatchResult":      true,
-	"repro/internal/backend.ShardStats":       true,
 	"repro/internal/backend.RecordedBatch":    true,
 	"repro/internal/backend.WireResult":       true,
 	"repro/internal/cluster.WorkerMetrics":    true,

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
@@ -200,13 +201,43 @@ func (b *batcher) run(g *group, members []*member) {
 			break
 		}
 	}
-	tmpl := members[0].spec
+	// Members arrive in goroutine order, and GGR breaks ties by row
+	// position, so the combined table is built in a canonical member order
+	// — by row content keys, then output budgets — or the virtual clock
+	// would depend on scheduling timing.
+	type keyed struct {
+		m      *member
+		keys   []uint64
+		outTok []int
+	}
+	ks := make([]keyed, len(members))
+	total := 0
+	for i, m := range members {
+		k := keyed{m: m, keys: make([]uint64, len(m.rows)), outTok: make([]int, len(m.rows))}
+		for j, r := range m.rows {
+			k.keys[j], k.outTok[j] = m.spec.RowKeys(r), m.spec.OutTokensFor(r)
+		}
+		ks[i] = k
+		total += len(m.rows)
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if c := slices.Compare(a.keys, b.keys); c != 0 {
+			return c
+		}
+		return slices.Compare(a.outTok, b.outTok)
+	})
+
+	tmpl := ks[0].m.spec
 	combined := table.New(g.cols...)
 	var truths []string
-	total := 0
-	for _, m := range members {
-		m.offset = total
-		total += len(m.rows)
+	rowKeys := make([]uint64, 0, total)
+	outTok := make([]int, 0, total)
+	for i, k := range ks {
+		m := k.m
+		members[i] = m
+		m.offset = len(rowKeys)
+		rowKeys = append(rowKeys, k.keys...)
+		outTok = append(outTok, k.outTok...)
 		for _, r := range m.rows {
 			combined.MustAppendRow(m.tbl.Row(r)...)
 			if tmpl.TruthHidden != "" {
@@ -225,14 +256,6 @@ func (b *batcher) run(g *group, members []*member) {
 		panic(err) // unreachable: identical schema by fingerprint
 	}
 
-	rowKeys := make([]uint64, total)
-	outTok := make([]int, total)
-	for _, m := range members {
-		for j, r := range m.rows {
-			rowKeys[m.offset+j] = m.spec.RowKeys(r)
-			outTok[m.offset+j] = m.spec.OutTokensFor(r)
-		}
-	}
 	spec := tmpl
 	spec.RowKeys = func(row int) uint64 { return rowKeys[row] }
 	spec.RowOutTokens = func(row int) int { return outTok[row] }

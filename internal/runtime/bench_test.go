@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 )
 
 // benchBackend selects the serving backend for BenchmarkMultiClientServing
@@ -15,7 +16,7 @@ import (
 // CI bench smoke runs it once per backend; the persistent run additionally
 // asserts its hit tokens beat the per-batch-engine baseline on the same
 // sequential refresh workload.
-var benchBackend = flag.String("backend", "sim", "serving backend for the multi-client bench: sim or persistent")
+var benchBackend = flag.String("backend", "sim", "serving backend for the multi-client bench: sim, persistent, sharded-sim or sharded-persistent")
 
 // benchShards selects the fan-out width for BenchmarkShardedServing; the
 // bench always compares against an unsharded run of the same workload.
@@ -29,7 +30,7 @@ var servingBaseline = flag.String("serving-baseline", "", "path to write the ser
 // benchBackendFor resolves the flag into a fresh backend and reports
 // whether the persistent comparison should run.
 func benchBackendFor(b *testing.B) (backend.Backend, bool) {
-	be, err := backend.ByName(*benchBackend)
+	be, err := cluster.Resolve(*benchBackend, 1, nil, cluster.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +162,7 @@ type shardPoint struct {
 func runShardPoint(b *testing.B, shards, rows int) (shardPoint, Metrics) {
 	var be backend.Backend = backend.NewSim()
 	if shards > 1 {
-		sh, err := backend.NewSharded(be, shards)
+		sh, err := cluster.NewLocal(be, shards)
 		if err != nil {
 			b.Fatal(err)
 		}

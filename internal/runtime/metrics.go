@@ -95,16 +95,6 @@ type Metrics struct {
 	PromptCacheHits   int64 `json:"promptCacheHits"`
 	PromptCacheMisses int64 `json:"promptCacheMisses"`
 
-	// ShardedBatches / ShardRuns / ShardJCTSeconds mirror the serving
-	// backend's data-parallel accounting when it is a backend.Sharded:
-	// batches split across engine replicas, sub-batches dispatched, and the
-	// summed per-shard virtual JCT (ShardJCTSeconds / ShardRuns is the mean
-	// per-shard latency; TotalJCT counts only the slowest shard of each
-	// batch, so the difference is the parallel speedup).
-	ShardedBatches  int64   `json:"shardedBatches"`
-	ShardRuns       int64   `json:"shardRuns"`
-	ShardJCTSeconds float64 `json:"shardJctSeconds"`
-
 	// TotalJCT / TotalSolverSeconds sum virtual serving time and scheduling
 	// time over engine runs, each run counted exactly once (per-statement
 	// results instead attribute a shared batch to every participant).
@@ -145,9 +135,11 @@ type Metrics struct {
 	// LLM stage has executed.
 	Stages map[string]obs.StageRollup `json:"stages,omitempty"`
 
-	// Cluster is the distributed tier's fleet accounting — per-worker
+	// Cluster is the fan-out tier's accounting — per-worker
 	// batches/retries/errors/markdowns, ring moves, hot-stage replications —
-	// present only when the serving backend is a cluster.Router.
+	// present only when the serving backend is a cluster.Router. A static
+	// sharding router (cluster.NewLocal) reports its one in-process member
+	// as worker "local", whose Batches counts the parts it served.
 	Cluster *cluster.Metrics `json:"cluster,omitempty"`
 }
 

@@ -41,10 +41,11 @@
 //	                          long-lived engine replicas per stage
 //	                          fingerprint so the prefix cache survives
 //	                          BETWEEN batch windows and concurrent windows
-//	                          overlap; Sharded splits a batch at its
-//	                          prefix-group boundaries and fans the shards
-//	                          out to concurrent engine runs; Recording taps
-//	                          batches for tests)
+//	                          overlap; Recording taps batches for tests;
+//	                          cluster.Router splits a batch at its
+//	                          prefix-group boundaries and fans the parts out
+//	                          to concurrent runs — on remote workers, or on
+//	                          an in-process backend for static sharding)
 //
 // The cross-query batcher is what turns the paper's reordering from a
 // per-query optimization into a fleet-level one: rows from different
@@ -143,8 +144,9 @@ type Config struct {
 	// Backend is the serving target every engine run goes to. Nil keeps
 	// Exec.Backend (and the package default — one confined engine per
 	// batch — when that is nil too). A persistent backend here is what
-	// lets prefix hits span batch windows; a backend.Sharded wrapper is what
-	// fans one hot batch out over engine replicas; see internal/backend.
+	// lets prefix hits span batch windows; a cluster.NewLocal router is what
+	// fans one hot batch out over engine replicas; see internal/backend and
+	// internal/cluster.
 	Backend backend.Backend
 	// ReorderCacheCapacity bounds the GGR reorder cache in schedules
 	// (default query.DefaultReorderCacheCapacity; negative disables): a
@@ -424,7 +426,7 @@ func (rt *Runtime) DB() *sqlfront.DB { return rt.db }
 
 // Metrics snapshots the runtime's accounting, folding in the reorder
 // cache's solver accounting and — when the serving backend is a
-// backend.Sharded — the data-parallel shard counters.
+// cluster.Router, remote or in-process — its fleet counters.
 func (rt *Runtime) Metrics() Metrics {
 	m := rt.c.snapshot()
 	if rt.reorder != nil {
@@ -433,10 +435,6 @@ func (rt *Runtime) Metrics() Metrics {
 	}
 	if rt.prompts != nil {
 		m.PromptCacheHits, m.PromptCacheMisses = rt.prompts.Hits(), rt.prompts.Misses()
-	}
-	if sh, ok := unwrapBackend(rt.servingBackend()).(*backend.Sharded); ok {
-		s := sh.Stats()
-		m.ShardedBatches, m.ShardRuns, m.ShardJCTSeconds = s.ShardedBatches, s.ShardRuns, s.ShardJCTSeconds
 	}
 	if cr, ok := unwrapBackend(rt.servingBackend()).(*cluster.Router); ok {
 		cm := cr.Metrics()

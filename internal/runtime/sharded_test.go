@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/sqlfront"
 )
 
@@ -58,7 +59,7 @@ func TestShardedBeatsUnsharded(t *testing.T) {
 	const rows = 72
 	baseM, baseRes := runHotWorkload(t, backend.NewSim(), rows)
 
-	sh, err := backend.NewSharded(backend.NewSim(), 4)
+	sh, err := cluster.NewLocal(backend.NewSim(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,21 +77,17 @@ func TestShardedBeatsUnsharded(t *testing.T) {
 		t.Errorf("sharded hit tokens = %d, want >= 90%% of unsharded %d",
 			shardM.MatchedTokens, baseM.MatchedTokens)
 	}
-	if shardM.ShardedBatches == 0 || shardM.ShardRuns < 2 {
-		t.Errorf("no fan-out happened: %d sharded batches, %d shard runs",
-			shardM.ShardedBatches, shardM.ShardRuns)
+	parts := shardM.Cluster.Workers["local"].Batches
+	if parts <= shardM.Batches {
+		t.Errorf("no fan-out happened: %d parts over %d batches", parts, shardM.Batches)
 	}
-	if shardM.ShardJCTSeconds <= shardM.TotalJCT {
-		t.Errorf("summed shard JCT %.2fs should exceed the parallel (max-shard) total %.2fs",
-			shardM.ShardJCTSeconds, shardM.TotalJCT)
-	}
-	t.Logf("JCT: unsharded %.2fs, sharded %.2fs (%d sub-runs over %d batches); hit tokens %d -> %d",
-		baseM.TotalJCT, shardM.TotalJCT, shardM.ShardRuns, shardM.ShardedBatches,
+	t.Logf("JCT: unsharded %.2fs, sharded %.2fs (%d parts over %d batches); hit tokens %d -> %d",
+		baseM.TotalJCT, shardM.TotalJCT, parts, shardM.Batches,
 		baseM.MatchedTokens, shardM.MatchedTokens)
 }
 
-// TestShardedOverPersistentPool composes the two tentpole pieces: a Sharded
-// decorator over a Persistent replica pool. Shards of one hot batch share
+// TestShardedOverPersistentPool composes the two tentpole pieces: static
+// sharding (an in-process router) over a Persistent replica pool. Shards of one hot batch share
 // the stage key and land on the same replica pool; relations must stay
 // identical and the parallel JCT must beat the unsharded persistent run.
 // (How many replicas the pool actually grows depends on real-time overlap —
@@ -102,7 +99,7 @@ func TestShardedOverPersistentPool(t *testing.T) {
 	baseM, baseRes := runHotWorkload(t, backend.NewPersistent(0), rows)
 
 	per := backend.NewPersistent(0)
-	sh, err := backend.NewSharded(per, 4)
+	sh, err := cluster.NewLocal(per, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

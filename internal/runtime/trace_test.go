@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
+	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/sqlfront"
 	"repro/internal/table"
@@ -32,7 +32,7 @@ func joinDB(rows int) *sqlfront.DB {
 // cascade, the coalescing batch window, and a sharded backend.
 func TestTraceConservation(t *testing.T) {
 	db := joinDB(30)
-	sh, err := backend.NewSharded(nil, 2)
+	sh, err := cluster.NewLocal(nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,13 +123,6 @@ func renderPrometheus(m runtime.Metrics) string {
 		w.row("llmq_cluster_rebalance_leaves_total", "", float64(c.RebalanceLeaves))
 	}
 
-	w.family("llmq_sharded_batches_total", "counter", "Batches split across engine replicas.")
-	w.row("llmq_sharded_batches_total", "", float64(m.ShardedBatches))
-	w.family("llmq_shard_runs_total", "counter", "Sub-batches dispatched by the sharded backend.")
-	w.row("llmq_shard_runs_total", "", float64(m.ShardRuns))
-	w.family("llmq_shard_jct_seconds_total", "counter", "Summed per-shard virtual JCT.")
-	w.row("llmq_shard_jct_seconds_total", "", m.ShardJCTSeconds)
-
 	w.family("llmq_jct_seconds_total", "counter", "Virtual serving time summed over engine runs.")
 	w.row("llmq_jct_seconds_total", "", m.TotalJCT)
 	w.family("llmq_solver_seconds_total", "counter", "Scheduling time summed over engine runs.")

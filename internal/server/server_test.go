@@ -202,7 +202,7 @@ func TestRejectsUnknownFields(t *testing.T) {
 }
 
 // sqlHandler builds a service with a serving runtime over one ad-hoc table.
-func sqlHandler(t *testing.T) (http.Handler, *runtime.Runtime) {
+func sqlHandler(t testing.TB) (http.Handler, *runtime.Runtime) {
 	t.Helper()
 	tbl := table.New("ticket_id", "region", "request")
 	for i := 0; i < 12; i++ {

@@ -28,8 +28,9 @@
 // default), NewPersistentBackend keeps pools of long-lived engine replicas
 // whose KV caches survive between batches so prefix hits span batch
 // windows, NewShardedBackend fans one batch out over concurrent engine runs
-// at its prefix-group boundaries, and NewRecordingBackend taps batches for
-// tests and metrics. Every execution
+// at its prefix-group boundaries (a ClusterRouter over one in-process
+// member), and NewRecordingBackend taps batches for tests and metrics.
+// Every execution
 // entry point has a Context variant (ExecSQLContext, RunQueryContext,
 // Runtime.SubmitContext/ExecContext, ...): canceling the context stops the
 // statement between LLM stages and mid-batch, returning an error wrapping
@@ -320,12 +321,10 @@ type (
 	// SimBackend is the per-batch engine; PersistentBackend keeps a pool
 	// of long-lived engine replicas per stage fingerprint so the prefix
 	// cache survives between batches and concurrent batches overlap;
-	// ShardedBackend fans one batch out over concurrent engine runs at its
-	// prefix-group boundaries; RecordingBackend decorates another backend
-	// with a batch log for tests and metrics.
+	// RecordingBackend decorates another backend with a batch log for
+	// tests and metrics.
 	SimBackend        = backend.Sim
 	PersistentBackend = backend.Persistent
-	ShardedBackend    = backend.Sharded
 	RecordingBackend  = backend.Recording
 	RecordedBatch     = backend.RecordedBatch
 	// ClusterRouter consistent-hashes stage fingerprints across a worker
@@ -354,9 +353,11 @@ func NewPersistentBackend(engineBudget int) *PersistentBackend {
 // NewShardedBackend wraps inner (nil wraps a fresh sim backend) with a
 // data-parallel fan-out: each batch is split at its prefix-group boundaries
 // into up to shards balanced sub-batches served concurrently, cutting batch
-// latency while keeping relations byte-identical. shards < 1 is an error.
-func NewShardedBackend(inner Backend, shards int) (*ShardedBackend, error) {
-	return backend.NewSharded(inner, shards)
+// latency while keeping relations byte-identical. It is a ClusterRouter
+// whose one member is inner with shards part slots, so concurrent batches
+// share those slots. shards < 1 is an error.
+func NewShardedBackend(inner Backend, shards int) (*ClusterRouter, error) {
+	return cluster.NewLocal(inner, shards)
 }
 
 // NewRecordingBackend decorates inner (nil wraps a fresh sim backend) with
