@@ -68,9 +68,10 @@ type Config struct {
 	// its schedule instead of re-running the solver. Like Backend it changes
 	// planning cost only, never results, and is excluded from StageKey.
 	ReorderCache *ReorderCache
-	// PromptCache, when non-nil, memoizes per-row prompt tokenization over
-	// one long-lived tokenizer shared across stages and batch windows. Nil
-	// keeps the historical throwaway-tokenizer-per-stage behavior.
+	// PromptCache, when non-nil, memoizes prompt tokenization (per row cell
+	// and per prompt prefix) over one long-lived tokenizer shared across
+	// stages and batch windows. Nil gives each stage its own memo and
+	// tokenizer.
 	PromptCache *PromptCache
 }
 
@@ -180,19 +181,18 @@ func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Confi
 		return nil, fmt.Errorf("query: schedule for %s broke semantics: %w", spec.Name, err)
 	}
 
-	// Tokenize through the shared memo when one is attached; otherwise a
-	// throwaway tokenizer confined to this stage, the historical behavior.
-	encode := cfg.PromptCache.encoder()
-	prefix := encode(PromptPrefix(spec.UserPrompt))
+	// Tokenize through the shared memo when one is attached; otherwise
+	// through a memo (and so a tokenizer) confined to this stage.
+	memo := cfg.PromptCache
+	if memo == nil {
+		memo = NewPromptCache(0)
+	}
+	prompts := memo.stage(PromptPrefix(spec.UserPrompt))
 	reqs := make([]*llmsim.Request, len(sched.Rows))
 	for i, row := range sched.Rows {
-		data := encode(RowJSON(row.Cells))
-		prompt := make([]tokenizer.Token, 0, len(prefix)+len(data))
-		prompt = append(prompt, prefix...)
-		prompt = append(prompt, data...)
 		reqs[i] = &llmsim.Request{
 			ID:        row.Source,
-			Prompt:    prompt,
+			Prompt:    prompts.prompt(row.Cells),
 			OutTokens: spec.OutTokensFor(row.Source),
 		}
 	}

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -12,17 +11,18 @@ import (
 
 // This file amortizes the two per-flush planning costs that data-parallel
 // sharding exposes once engine time stops dominating: the GGR solve over the
-// batch window's combined table, and per-row prompt tokenization.
+// batch window's combined table, and prompt tokenization.
 //
-// Both caches are opt-in via Config (nil keeps the historical
-// compute-every-time behavior); the serving runtime attaches one of each for
-// its lifetime, so a dashboard fleet re-submitting the same batch window
-// pays the solver and the tokenizer walk once.
+// Both caches are opt-in via Config (nil solves every window and tokenizes
+// through a memo confined to the stage); the serving runtime attaches one
+// of each for its lifetime, so a dashboard fleet re-submitting the same
+// batch window pays the solver and the tokenizer walk once.
 
 // DefaultReorderCacheCapacity bounds the reorder cache in schedules.
 const DefaultReorderCacheCapacity = 256
 
-// DefaultPromptCacheCapacity bounds the prompt cache in distinct texts.
+// DefaultPromptCacheCapacity bounds the prompt cache in entries: cell
+// fragments and prompt prefixes.
 const DefaultPromptCacheCapacity = 65536
 
 // reorderKey identifies one solve: the stage fingerprint (prompt, schema,
@@ -38,13 +38,19 @@ type reorderKey struct {
 }
 
 func reorderKeyFor(stageKey string, tbl *table.Table) reorderKey {
-	a, b := fnv.New64a(), fnv.New64()
-	var sep = []byte{0}
+	// FNV-1a (h1) and FNV-1 (h2) over every string followed by a 0 byte,
+	// inlined so no cell is copied into a hash.Hash.
+	const offset, prime = 14695981039346656037, 1099511628211
+	h1, h2 := uint64(offset), uint64(offset)
 	write := func(s string) {
-		a.Write([]byte(s))
-		a.Write(sep)
-		b.Write([]byte(s))
-		b.Write(sep)
+		for i := 0; i < len(s); i++ {
+			h1 ^= uint64(s[i])
+			h1 *= prime
+			h2 *= prime
+			h2 ^= uint64(s[i])
+		}
+		h1 *= prime // the 0 separator: xor with 0 is a no-op
+		h2 *= prime
 	}
 	for _, c := range tbl.Columns() {
 		write(c)
@@ -60,7 +66,7 @@ func reorderKeyFor(stageKey string, tbl *table.Table) reorderKey {
 			write(col)
 		}
 	}
-	return reorderKey{stageKey: stageKey, h1: a.Sum64(), h2: b.Sum64()}
+	return reorderKey{stageKey: stageKey, h1: h1, h2: h2}
 }
 
 // ReorderCache memoizes GGR solves by (StageKey, table-content hash): a
@@ -131,43 +137,56 @@ func (c *ReorderCache) store(key reorderKey, sched *core.Schedule, phc int64) {
 	c.lru.put(key, reorderEntry{sched: sched, phc: phc})
 }
 
-// PromptCache memoizes text tokenization over one long-lived tokenizer, so
-// a row's JSON payload and a stage's prompt prefix are walked once across
-// every stage and batch window that serves them. Sharing one tokenizer also
-// makes token IDs stable across batches — which is what a persistent
-// backend's cross-batch KV cache compares — where per-stage throwaway
-// tokenizers gave the same text a different ID in every batch.
+// PromptCache memoizes prompt tokenization over one long-lived tokenizer at
+// cell granularity: each row cell's JSON fragment ("field": "value") and
+// each stage's prompt prefix are walked once across every stage and batch
+// window that serves them, and a request is assembled by concatenating
+// those token runs (see stagePrompts). GGR makes rows share their leading
+// cells, and reordered or projected rows rarely repeat verbatim while their
+// cells repeat all the time, so the cell is the unit that recurs. Sharing
+// one tokenizer also makes token IDs stable across batches — which is what
+// a persistent backend's cross-batch KV cache compares — where per-stage
+// throwaway tokenizers gave the same text a different ID in every batch.
 //
 // Returned token slices are shared and must be treated as immutable (every
-// caller appends them into a fresh prompt slice). The memo is LRU-bounded;
-// the tokenizer's interned vocabulary grows with distinct text, which is the
-// same growth one kvcache trie already exhibits for the same traffic.
+// caller appends them into a fresh prompt slice). The memo is LRU-bounded
+// in entries (cell fragments and prefixes); the tokenizer's interned
+// vocabulary grows with distinct text, which is the same growth one kvcache
+// trie already exhibits for the same traffic.
 type PromptCache struct {
 	tok *tokenizer.Tokenizer
 	mu  sync.Mutex
-	lru *lruMap[string, []tokenizer.Token] // guarded by mu
+	lru *lruMap[promptKey, []tokenizer.Token] // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
 }
 
-// NewPromptCache returns a cache bounded to capacity distinct texts (<= 0
-// uses DefaultPromptCacheCapacity).
+// promptKey names one memoized token run: the JSON fragment of Cell, or,
+// when text is set, the whole text held in Cell.Value (a prompt prefix).
+type promptKey struct {
+	core.Cell
+	text bool
+}
+
+// NewPromptCache returns a cache bounded to capacity entries — cell
+// fragments and prompt prefixes (<= 0 uses DefaultPromptCacheCapacity).
 func NewPromptCache(capacity int) *PromptCache {
 	if capacity <= 0 {
 		capacity = DefaultPromptCacheCapacity
 	}
 	return &PromptCache{
 		tok: tokenizer.New(),
-		lru: newLRUMap[string, []tokenizer.Token](capacity),
+		lru: newLRUMap[promptKey, []tokenizer.Token](capacity),
 	}
 }
 
-// Encode tokenizes text through the memo. The returned slice is shared:
-// callers must not modify it.
+// Encode tokenizes a whole text (a prompt prefix) through the memo. The
+// returned slice is shared: callers must not modify it.
 func (p *PromptCache) Encode(text string) []tokenizer.Token {
+	key := promptKey{Cell: core.Cell{Value: text}, text: true}
 	p.mu.Lock()
-	if toks, ok := p.lru.get(text); ok {
+	if toks, ok := p.lru.get(key); ok {
 		p.mu.Unlock()
 		p.hits.Add(1)
 		return toks
@@ -180,26 +199,17 @@ func (p *PromptCache) Encode(text string) []tokenizer.Token {
 	p.misses.Add(1)
 
 	p.mu.Lock()
-	p.lru.put(text, toks)
+	p.lru.put(key, toks)
 	p.mu.Unlock()
 	return toks
 }
 
-// encoder resolves the stage executor's tokenize function: the shared memo
-// when a cache is attached, a fresh tokenizer confined to the calling stage
-// (the historical behavior) on a nil receiver.
-func (p *PromptCache) encoder() func(string) []tokenizer.Token {
-	if p == nil {
-		return tokenizer.New().Encode
-	}
-	return p.Encode
-}
-
-// Hits and Misses report the memo's lookup accounting.
+// Hits and Misses report the memo's lookup accounting, one lookup per
+// prompt prefix and per row cell.
 func (p *PromptCache) Hits() int64   { return p.hits.Load() }
 func (p *PromptCache) Misses() int64 { return p.misses.Load() }
 
-// Len reports the number of memoized texts.
+// Len reports the number of memoized entries (cell fragments and prefixes).
 func (p *PromptCache) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -2,6 +2,9 @@ package query
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -94,6 +97,74 @@ func TestReorderCacheMissesOnChange(t *testing.T) {
 	}
 	if s := rc.Stats(); s.Solves != 4 {
 		t.Fatalf("changed FDs served from cache: %+v", s)
+	}
+}
+
+// reorderKeyReference is reorderKeyFor written over hash/fnv: FNV-1a and
+// FNV-1 streams of every string followed by a 0 byte.
+func reorderKeyReference(stageKey string, tbl *table.Table) reorderKey {
+	a, b := fnv.New64a(), fnv.New64()
+	write := func(s string) {
+		for _, h := range []hash.Hash64{a, b} {
+			h.Write([]byte(s))
+			h.Write([]byte{0})
+		}
+	}
+	for _, c := range tbl.Columns() {
+		write(c)
+	}
+	for i := 0; i < tbl.NumRows(); i++ {
+		for _, cell := range tbl.Row(i) {
+			write(cell)
+		}
+	}
+	for _, group := range tbl.FDs().Groups() {
+		write("fd")
+		for _, col := range group {
+			write(col)
+		}
+	}
+	return reorderKey{stageKey: stageKey, h1: a.Sum64(), h2: b.Sum64()}
+}
+
+// TestReorderKeyMatchesFNV pins the inlined hash loops to the hash/fnv
+// reference on random tables, FDs included, so cached schedules keep their
+// keys.
+func TestReorderKeyMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []string{"", "a", "Z", "0", " ", ";", "\x00", "\xff", "é", "日本", "long text value"}
+	word := func() string {
+		var s string
+		for n := rng.Intn(4); n > 0; n-- {
+			s += alphabet[rng.Intn(len(alphabet))]
+		}
+		return s
+	}
+	for trial := 0; trial < 200; trial++ {
+		ncols := 1 + rng.Intn(5)
+		cols := make([]string, ncols)
+		for i := range cols {
+			cols[i] = fmt.Sprintf("c%d%s", i, word())
+		}
+		tbl := table.New(cols...)
+		for r := rng.Intn(12); r > 0; r-- {
+			row := make([]string, ncols)
+			for i := range row {
+				row[i] = word()
+			}
+			tbl.MustAppendRow(row...)
+		}
+		if ncols >= 2 && rng.Intn(2) == 0 {
+			fds := table.NewFDSet()
+			fds.AddGroup(cols[0], cols[1+rng.Intn(ncols-1)])
+			if err := tbl.SetFDs(fds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stageKey := word()
+		if got, want := reorderKeyFor(stageKey, tbl), reorderKeyReference(stageKey, tbl); got != want {
+			t.Fatalf("trial %d: key %+v, reference %+v", trial, got, want)
+		}
 	}
 }
 

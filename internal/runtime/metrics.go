@@ -89,9 +89,9 @@ type Metrics struct {
 	ReorderCacheHits   int64 `json:"reorderCacheHits"`
 	ReorderCacheMisses int64 `json:"reorderCacheMisses"`
 	ReorderSolves      int64 `json:"reorderSolves"`
-	// PromptCacheHits / PromptCacheMisses count memoized prompt
-	// tokenizations (prefixes and row payloads shared across stages and
-	// batch windows).
+	// PromptCacheHits / PromptCacheMisses count prompt-memo lookups: one
+	// per stage prefix and one per row cell, so a hit is a cell or prefix
+	// whose tokens an earlier row, stage or batch window already computed.
 	PromptCacheHits   int64 `json:"promptCacheHits"`
 	PromptCacheMisses int64 `json:"promptCacheMisses"`
 

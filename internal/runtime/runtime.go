@@ -34,7 +34,8 @@
 //	            │            and a statement deadline closes it in time — then
 //	            │            run as ONE GGR-reordered stage over the union of
 //	            │            rows (identical repeated windows skip the solve
-//	            ▼            via the reorder cache; prompts use a token memo)
+//	            │            via the reorder cache; prompts are assembled
+//	            ▼            from a per-cell token memo)
 //	      backend.Backend    (the pluggable engine seam: Sim confines one
 //	                          engine + kvcache to each coalesced run, the
 //	                          paper's setting; Persistent keeps a pool of
@@ -153,10 +154,12 @@ type Config struct {
 	// batch window identical to an earlier one — same stage fingerprint,
 	// same rows — reuses its schedule instead of re-running the solver.
 	ReorderCacheCapacity int
-	// PromptCacheCapacity bounds the prompt tokenization memo in distinct
-	// texts (default query.DefaultPromptCacheCapacity; negative disables):
-	// row payloads repeated across stages and batch windows are tokenized
-	// once, on one long-lived tokenizer.
+	// PromptCacheCapacity bounds the prompt tokenization memo in entries —
+	// row cells' JSON fragments and prompt prefixes (default
+	// query.DefaultPromptCacheCapacity; negative disables): a cell or prefix
+	// repeated across rows, stages and batch windows is tokenized once, on
+	// one long-lived tokenizer, and each request is assembled from those
+	// token runs.
 	PromptCacheCapacity int
 	// SlowQueryThreshold, when positive, turns on the slow-query log: every
 	// statement is recorded (a trace cannot be reconstructed after the

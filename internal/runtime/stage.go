@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -225,16 +226,31 @@ func (rt *Runtime) resolveOwned(keys []string, m *member) {
 // (two rows that read the same but carry different labels answer
 // differently), and its output budget (free-text answers scale with it).
 func stageRowKey(fp string, tbl *table.Table, spec query.Spec, row int) string {
-	var sb strings.Builder
-	sb.Grow(len(fp) + 64)
-	sb.WriteString(fp)
-	for _, cell := range tbl.Row(row) {
-		fmt.Fprintf(&sb, "%d:%s;", len(cell), cell)
-	}
+	cells := tbl.Row(row)
 	truth := ""
 	if spec.TruthHidden != "" {
 		truth = tbl.HiddenValue(spec.TruthHidden, row)
 	}
-	fmt.Fprintf(&sb, "|%d:%s|%d", len(truth), truth, spec.OutTokensFor(row))
+	n := len(fp) + len(truth) + 24
+	for _, cell := range cells {
+		n += len(cell) + 8
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	var num [20]byte
+	part := func(s string) { // "<len>:<s>"
+		sb.Write(strconv.AppendInt(num[:0], int64(len(s)), 10))
+		sb.WriteByte(':')
+		sb.WriteString(s)
+	}
+	sb.WriteString(fp)
+	for _, cell := range cells {
+		part(cell)
+		sb.WriteByte(';')
+	}
+	sb.WriteByte('|')
+	part(truth)
+	sb.WriteByte('|')
+	sb.Write(strconv.AppendInt(num[:0], int64(spec.OutTokensFor(row)), 10))
 	return sb.String()
 }

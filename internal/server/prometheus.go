@@ -69,9 +69,9 @@ func renderPrometheus(m runtime.Metrics) string {
 	w.row("llmq_reorder_cache_misses_total", "", float64(m.ReorderCacheMisses))
 	w.family("llmq_reorder_solves_total", "counter", "GGR solver runs performed.")
 	w.row("llmq_reorder_solves_total", "", float64(m.ReorderSolves))
-	w.family("llmq_prompt_cache_hits_total", "counter", "Memoized prompt tokenization hits.")
+	w.family("llmq_prompt_cache_hits_total", "counter", "Prompt-memo lookups (one per stage prefix and row cell) served from memoized tokens.")
 	w.row("llmq_prompt_cache_hits_total", "", float64(m.PromptCacheHits))
-	w.family("llmq_prompt_cache_misses_total", "counter", "Prompt tokenizations computed afresh.")
+	w.family("llmq_prompt_cache_misses_total", "counter", "Prompt-memo lookups (one per stage prefix and row cell) tokenized afresh.")
 	w.row("llmq_prompt_cache_misses_total", "", float64(m.PromptCacheMisses))
 
 	// Distributed-tier families, present only when the serving backend is a

@@ -53,20 +53,23 @@ func (t *Tokenizer) VocabSize() int {
 }
 
 // Encode converts text into a sequence of tokens. Concatenating the decoded
-// pieces reproduces the input exactly.
+// pieces reproduces the input exactly. Pieces are interned as the walk finds
+// them, so Encode allocates only the returned slice and the new vocabulary
+// entries.
 func (t *Tokenizer) Encode(text string) []Token {
-	pieces := Split(text)
-	out := make([]Token, len(pieces))
+	out := make([]Token, 0, Count(text))
 	t.mu.Lock()
-	for i, p := range pieces {
+	each(text, func(p string) {
 		id, ok := t.ids[p]
 		if !ok {
+			// Clone so the vocabulary does not pin the caller's whole text.
+			p = strings.Clone(p)
 			id = Token(len(t.pieces))
 			t.ids[p] = id
 			t.pieces = append(t.pieces, p)
 		}
-		out[i] = id
-	}
+		out = append(out, id)
+	})
 	t.mu.Unlock()
 	return out
 }
@@ -105,24 +108,30 @@ func Count(text string) int {
 // and for tools that need piece boundaries.
 func Split(text string) []string {
 	var out []string
+	each(text, func(p string) { out = append(out, p) })
+	return out
+}
+
+// each invokes fn for every surface piece of text in order: one per walk
+// segment, except that segments longer than maxPiece are fragmented into
+// chunk-sized pieces. The first chunk keeps any leading space so decode
+// remains exact.
+func each(text string, fn func(piece string)) {
 	walk(text, func(start, end int) {
 		seg := text[start:end]
 		if len(seg) <= maxPiece {
-			out = append(out, seg)
+			fn(seg)
 			return
 		}
-		// Fragment long segments into fixed-size chunks. The first chunk
-		// keeps any leading space so decode remains exact.
 		for len(seg) > 0 {
 			c := chunk
 			if c > len(seg) {
 				c = len(seg)
 			}
-			out = append(out, seg[:c])
+			fn(seg[:c])
 			seg = seg[c:]
 		}
 	})
-	return out
 }
 
 // piecesFor reports how many tokens a segment of segLen bytes becomes.
