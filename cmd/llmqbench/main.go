@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -52,7 +53,7 @@ func main() {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		rep, err := bench.Run(id, cfg)
+		rep, err := bench.RunContext(context.Background(), id, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "llmqbench: %s: %v\n", id, err)
 			os.Exit(1)

@@ -44,6 +44,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -169,11 +170,11 @@ func main() {
 	}
 
 	// One-shot statements still go through the serving runtime, not straight
-	// at db.Exec: the runtime is what carries client identity and service
+	// at db.ExecContext: the runtime is what carries client identity and service
 	// class, so a CLI run is accounted exactly like a server request.
 	rt := runtime.New(db, runtime.Config{Workers: 1, BatchWindow: -1, Backend: be})
 	defer rt.Close()
-	res, err := rt.Exec(flag.Arg(0), runtime.Options{
+	res, err := rt.ExecContext(context.Background(), flag.Arg(0), runtime.Options{
 		Naive:  *naive,
 		Policy: query.Policy(*policy),
 		Client: runtime.ClientID(*client),

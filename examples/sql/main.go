@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strconv"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	movies := datagen.Movies(datagen.Options{Scale: 0.01, Seed: 4})
 	db := sqlfront.NewDB()
 	db.Register("MOVIES", movies.Table)
@@ -45,7 +47,7 @@ FROM MOVIES`},
 	for _, q := range queries {
 		fmt.Printf("=== %s ===\n", q.title)
 		for _, p := range []query.Policy{query.CacheOriginal, query.CacheGGR} {
-			res, err := db.Exec(q.sql, sqlfront.ExecConfig{Config: query.Config{Policy: p}})
+			res, err := db.ExecContext(ctx, q.sql, sqlfront.ExecConfig{Config: query.Config{Policy: p}})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -73,7 +75,7 @@ GROUP BY genres ORDER BY n DESC LIMIT 5`
 	fmt.Println("=== Grown dialect: planner vs naive ===")
 	for _, naive := range []bool{false, true} {
 		cfg := sqlfront.ExecConfig{Config: query.Config{Policy: query.CacheGGR}, Naive: naive}
-		res, err := db.Exec(grown, cfg)
+		res, err := db.ExecContext(ctx, grown, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -125,7 +127,7 @@ WHERE LLM('Does the response fully resolve the request?', t.request, t.response)
 	fmt.Println("=== Two-table join: cost-ordered LLM filters vs naive ===")
 	for _, naive := range []bool{false, true} {
 		cfg := sqlfront.ExecConfig{Config: query.Config{Policy: query.CacheGGR}, Naive: naive}
-		res, err := jdb.Exec(joinSQL, cfg)
+		res, err := jdb.ExecContext(ctx, joinSQL, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -153,12 +155,12 @@ WHERE LLM('Does the response fully resolve the request?', t.request, t.response)
 	rt := runtime.New(jdb, runtime.Config{Workers: 1})
 	var handles []*runtime.Handle
 	for i := 0; i < 30; i++ {
-		handles = append(handles, rt.Submit(
+		handles = append(handles, rt.SubmitContext(ctx,
 			fmt.Sprintf(`SELECT ticket_id, LLM('Sweep %d: does the response resolve the request?', request, response) AS ok FROM tickets`, i),
 			runtime.Options{Client: "analytics", Class: runtime.ClassBatch}))
 	}
 	start := time.Now()
-	if _, err := rt.Exec(
+	if _, err := rt.ExecContext(ctx,
 		`SELECT t.ticket_id FROM tickets AS t WHERE LLM('Is this request urgent?', t.request) = 'Yes'`,
 		runtime.Options{Client: "dashboard", Class: runtime.ClassInteractive}); err != nil {
 		log.Fatal(err)

@@ -67,7 +67,7 @@ func execWith(t *testing.T, be backend.Backend, sql string, naive bool) *sqlfron
 	t.Helper()
 	db := sqlfront.NewDB()
 	db.Register("tickets", ticketsTable(24))
-	res, err := db.Exec(sql, sqlfront.ExecConfig{
+	res, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{
 		Config: query.Config{Backend: be},
 		Naive:  naive,
 	})
@@ -267,7 +267,7 @@ func TestPersistentClosedFails(t *testing.T) {
 	}
 	db := sqlfront.NewDB()
 	db.Register("tickets", ticketsTable(6))
-	_, err := db.Exec(conformanceStatements[0], sqlfront.ExecConfig{Config: query.Config{Backend: be}})
+	_, err := db.ExecContext(t.Context(), conformanceStatements[0], sqlfront.ExecConfig{Config: query.Config{Backend: be}})
 	if err == nil {
 		t.Fatal("statement on a closed backend succeeded")
 	}

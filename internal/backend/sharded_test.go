@@ -117,7 +117,7 @@ func TestShardedSurfacesRealShardError(t *testing.T) {
 	defer sh.Close()
 	db := sqlfront.NewDB()
 	db.Register("tickets", ticketsTable(24))
-	_, err = db.Exec(conformanceStatements[0], sqlfront.ExecConfig{
+	_, err = db.ExecContext(t.Context(), conformanceStatements[0], sqlfront.ExecConfig{
 		Config: query.Config{Backend: sh},
 	})
 	if err == nil {
@@ -146,7 +146,7 @@ func TestShardedPreservesHitTokens(t *testing.T) {
 		db.Register("tickets", ticketsTable(96))
 		sql := `SELECT ticket_id, LLM('Did the response resolve the request?', request, response) AS ok
 		        FROM tickets`
-		res, err := db.Exec(sql, sqlfront.ExecConfig{Config: query.Config{Backend: rec}})
+		res, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{Config: query.Config{Backend: rec}})
 		if err != nil {
 			t.Fatal(err)
 		}

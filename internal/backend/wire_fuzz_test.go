@@ -32,7 +32,7 @@ func encodedStageBatch(tb testing.TB) []byte {
 	}
 	capture := &captureBackend{}
 	spec := query.Spec{Name: "wire-fuzz", Dataset: "adhoc", Type: query.Projection, UserPrompt: "Summarize.", OutTokens: 4}
-	if _, err := query.RunStage(spec, tbl, query.Config{Policy: query.CacheGGR, Backend: capture}); err != nil {
+	if _, err := query.RunStageContext(tb.Context(), spec, tbl, query.Config{Policy: query.CacheGGR, Backend: capture}); err != nil {
 		tb.Fatal(err)
 	}
 	body, err := json.Marshal(backend.EncodeWireBatch(capture.spec, backend.ClientInfo{Client: "dashboard-7", Class: "batch"}))

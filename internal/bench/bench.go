@@ -70,19 +70,11 @@ type Config struct {
 	// standing in for the paper's two-hour timeout.
 	OPHRNodeBudget int64
 
-	// ctx is the run's cancellation scope, set by RunContext (nil means
-	// Background). Runners thread it into every simulated query, so a
+	// ctx is the run's cancellation scope, set by RunContext, the only way a
+	// runner is reached. Runners thread it into every simulated query, so a
 	// canceled experiment stops at the next query boundary (or between
 	// engine steps inside one).
 	ctx context.Context
-}
-
-func (c Config) context() context.Context {
-	if c.ctx == nil {
-		//llmqlint:detached -- Config carries no context by default; RunContext injects one
-		return context.Background()
-	}
-	return c.ctx
 }
 
 func (c Config) scale() float64 {
@@ -234,14 +226,9 @@ func Experiments() []string {
 	return out
 }
 
-// Run executes one experiment by ID.
-func Run(id string, cfg Config) (*Report, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over RunContext
-	return RunContext(context.Background(), id, cfg)
-}
-
-// RunContext is Run honoring ctx: the experiment's simulated queries run
-// under it, so cancellation stops the run at the next query boundary.
+// RunContext executes one experiment by ID. The experiment's simulated
+// queries run under ctx, so cancellation stops the run at the next query
+// boundary.
 func RunContext(ctx context.Context, id string, cfg Config) (*Report, error) {
 	r, ok := registry[id]
 	if !ok {

@@ -13,7 +13,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range Experiments() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, tiny)
+			rep, err := RunContext(t.Context(), id, tiny)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -39,13 +39,13 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig99", tiny); err == nil {
+	if _, err := RunContext(t.Context(), "fig99", tiny); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestFig1aExactValues(t *testing.T) {
-	rep, err := Run("fig1a", tiny)
+	rep, err := RunContext(t.Context(), "fig1a", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFig1aExactValues(t *testing.T) {
 }
 
 func TestFig1bExactValues(t *testing.T) {
-	rep, err := Run("fig1b", tiny)
+	rep, err := RunContext(t.Context(), "fig1b", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFig1bExactValues(t *testing.T) {
 }
 
 func TestFig3aSpeedupDirection(t *testing.T) {
-	rep, err := Run("fig3a", tiny)
+	rep, err := RunContext(t.Context(), "fig3a", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFig3aSpeedupDirection(t *testing.T) {
 }
 
 func TestTable2GGRWins(t *testing.T) {
-	rep, err := Run("table2", tiny)
+	rep, err := RunContext(t.Context(), "table2", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestTable2GGRWins(t *testing.T) {
 }
 
 func TestTable4SavingsPositive(t *testing.T) {
-	rep, err := Run("table4", tiny)
+	rep, err := RunContext(t.Context(), "table4", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTable4SavingsPositive(t *testing.T) {
 }
 
 func TestTable6GGRNearOptimal(t *testing.T) {
-	rep, err := Run("table6", tiny)
+	rep, err := RunContext(t.Context(), "table6", tiny)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func runFig1b(cfg Config) (*Report, error) {
 func latencyRow(cfg Config, spec query.Spec, tbl *table.Table, model llmsim.ModelConfig, cluster llmsim.Cluster) ([]string, error) {
 	jct := map[query.Policy]float64{}
 	for _, p := range query.Policies {
-		res, err := query.RunContext(cfg.context(), spec, tbl, cfg.queryConfig(p, model, cluster))
+		res, err := query.RunContext(cfg.ctx, spec, tbl, cfg.queryConfig(p, model, cluster))
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", spec.Name, p, err)
 		}
@@ -217,7 +217,7 @@ func runFig5(cfg Config) (*Report, error) {
 		}
 		jct := map[query.Policy]float64{}
 		for _, p := range []query.Policy{query.CacheOriginal, query.CacheGGR} {
-			res, err := query.RunContext(cfg.context(), spec, tbl, cfg.queryConfig(p, llmsim.Llama3_70B, llmsim.EightL4))
+			res, err := query.RunContext(cfg.ctx, spec, tbl, cfg.queryConfig(p, llmsim.Llama3_70B, llmsim.EightL4))
 			if err != nil {
 				return nil, err
 			}

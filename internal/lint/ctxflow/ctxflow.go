@@ -1,12 +1,14 @@
 // Package ctxflow enforces the repo's context-threading contract:
 //
 //  1. context.Background() and context.TODO() are banned in library code.
-//     Since PR 4 every layer threads a caller's context end to end — a
-//     Background() deep in the stack silently detaches work from
-//     cancellation, which is exactly how a canceled statement used to
-//     poison shared batches. Intentional detachment points (the batcher's
-//     coalesced run, the documented no-cancellation convenience wrappers)
-//     carry a `//llmqlint:detached` directive on or above the call line.
+//     Every layer threads a caller's context end to end, and below the
+//     llmq facade every execution entry point takes one — a Background()
+//     deep in the stack silently detaches work from cancellation, which is
+//     exactly how a canceled statement used to poison shared batches.
+//     Intentional detachment points (the batcher's coalesced run, the
+//     router's health loop, and the facade's ExecSQL, RunQuery and
+//     RunExperiment convenience forms) carry a `//llmqlint:detached`
+//     directive on or above the call line.
 //     Package main (cmd/, examples/) is exempt: a process entry point is
 //     where a root context legitimately begins.
 //

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/llmsim"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -121,8 +120,9 @@ type StageResult struct {
 	// Rows is the stage's input size.
 	Rows int
 	// ModelCalls is the number of rows actually sent to the serving engine.
-	// RunStage sets it equal to Rows; the serving runtime reports fewer when
-	// its result cache or inflight dedup served rows without a model call.
+	// RunStageContext sets it equal to Rows; the serving runtime reports
+	// fewer when its result cache or inflight dedup served rows without a
+	// model call.
 	ModelCalls int
 }
 
@@ -143,17 +143,10 @@ type Result struct {
 	Average float64
 }
 
-// RunStage executes a single LLM invocation over tbl under the configured
-// policy and returns engine metrics plus per-row model outputs. It is
-// RunStageContext without cancellation.
-func RunStage(spec Spec, tbl *table.Table, cfg Config) (*StageResult, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper; callers wanting cancellation use RunStageContext
-	return RunStageContext(context.Background(), spec, tbl, cfg)
-}
-
 // RunStageContext executes a single LLM invocation over tbl under the
-// configured policy: it computes the schedule, tokenizes the requests, and
-// hands the finished batch to cfg.Backend (backend.Default when nil). ctx
+// configured policy and returns engine metrics plus per-row model outputs:
+// it computes the schedule, tokenizes the requests, and hands the finished
+// batch to cfg.Backend (backend.Default when nil). ctx
 // cancels the run — before scheduling and between engine steps — returning
 // an error that wraps ctx.Err().
 func RunStageContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Config) (*StageResult, error) {
@@ -371,17 +364,12 @@ func buildSchedule(tbl *table.Table, cfg Config, stageKey string) (*core.Schedul
 	return sched, core.PHC(sched, tokenLen), elapsed, nil
 }
 
-// Run executes a complete benchmark query over its input table. For
+// RunContext executes a complete benchmark query over its input table. For
 // MultiLLM queries tbl feeds the first (filter) stage and the second stage
 // runs over the passing rows; for all other types the query is one stage.
-// RAG queries expect the joined (question, contexts) table — see RunRAG.
-func Run(spec Spec, tbl *table.Table, cfg Config) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over RunContext
-	return RunContext(context.Background(), spec, tbl, cfg)
-}
-
-// RunContext is Run honoring ctx: cancellation is checked before every
-// stage and between engine steps within one.
+// RAG queries expect the joined (question, contexts) table — see
+// BuildRAGTable. Cancellation is checked before every stage and between
+// engine steps within one.
 func RunContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Config) (*Result, error) {
 	first, err := RunStageContext(ctx, spec, tbl, cfg)
 	if err != nil {
@@ -439,23 +427,4 @@ func RunContext(ctx context.Context, spec Spec, tbl *table.Table, cfg Config) (*
 		res.HitRate = float64(matched) / float64(prompt)
 	}
 	return res, nil
-}
-
-// RunRAG builds the retrieval-joined table for a RAG dataset and executes
-// its query.
-func RunRAG(spec Spec, d *datagen.RAG, cfg Config) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over RunRAGContext
-	return RunRAGContext(context.Background(), spec, d, cfg)
-}
-
-// RunRAGContext is RunRAG honoring ctx.
-func RunRAGContext(ctx context.Context, spec Spec, d *datagen.RAG, cfg Config) (*Result, error) {
-	if spec.Type != RAGQA {
-		return nil, fmt.Errorf("query: %s is not a RAG query", spec.Name)
-	}
-	tbl, err := BuildRAGTable(d)
-	if err != nil {
-		return nil, err
-	}
-	return RunContext(ctx, spec, tbl, cfg)
 }

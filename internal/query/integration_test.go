@@ -30,7 +30,7 @@ func runAny(t *testing.T, spec Spec, cfg Config) *Result {
 		}
 		tbl = d.Table
 	}
-	res, err := Run(spec, tbl, cfg)
+	res, err := RunContext(t.Context(), spec, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,14 @@ func TestReorderCacheSkipsRepeatedSolve(t *testing.T) {
 	tbl := cacheTestTable(24, "")
 	spec := cacheTestSpec("Summarize the text.")
 
-	first, err := RunStage(spec, tbl, cfg)
+	first, err := RunStageContext(t.Context(), spec, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := rc.Stats(); s.Solves != 1 || s.Hits != 0 || s.Misses != 1 {
 		t.Fatalf("after first window: %+v, want 1 solve / 1 miss", s)
 	}
-	second, err := RunStage(spec, tbl, cfg)
+	second, err := RunStageContext(t.Context(), spec, tbl, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +68,18 @@ func TestReorderCacheMissesOnChange(t *testing.T) {
 	cfg := Config{Policy: CacheGGR, ReorderCache: rc}
 	spec := cacheTestSpec("Summarize the text.")
 
-	if _, err := RunStage(spec, cacheTestTable(24, ""), cfg); err != nil {
+	if _, err := RunStageContext(t.Context(), spec, cacheTestTable(24, ""), cfg); err != nil {
 		t.Fatal(err)
 	}
 	// Same schema and stage key, one row's content differs: must miss.
-	if _, err := RunStage(spec, cacheTestTable(24, "x"), cfg); err != nil {
+	if _, err := RunStageContext(t.Context(), spec, cacheTestTable(24, "x"), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if s := rc.Stats(); s.Solves != 2 || s.Hits != 0 {
 		t.Fatalf("changed rows served from cache: %+v", s)
 	}
 	// Same rows, different prompt → different StageKey: must miss.
-	if _, err := RunStage(cacheTestSpec("Translate the text."), cacheTestTable(24, ""), cfg); err != nil {
+	if _, err := RunStageContext(t.Context(), cacheTestSpec("Translate the text."), cacheTestTable(24, ""), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if s := rc.Stats(); s.Solves != 3 || s.Hits != 0 {
@@ -92,7 +92,7 @@ func TestReorderCacheMissesOnChange(t *testing.T) {
 	if err := withFD.SetFDs(fds); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStage(spec, withFD, cfg); err != nil {
+	if _, err := RunStageContext(t.Context(), spec, withFD, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if s := rc.Stats(); s.Solves != 4 {
@@ -174,7 +174,7 @@ func TestReorderCacheEvictsLRU(t *testing.T) {
 	cfg := Config{Policy: CacheGGR, ReorderCache: rc}
 	spec := cacheTestSpec("Summarize the text.")
 	for _, salt := range []string{"a", "b", "c"} {
-		if _, err := RunStage(spec, cacheTestTable(8, salt), cfg); err != nil {
+		if _, err := RunStageContext(t.Context(), spec, cacheTestTable(8, salt), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestReorderCacheEvictsLRU(t *testing.T) {
 		t.Fatalf("cache holds %d schedules, capacity 2", got)
 	}
 	// "a" was evicted: re-running it must solve again.
-	if _, err := RunStage(spec, cacheTestTable(8, "a"), cfg); err != nil {
+	if _, err := RunStageContext(t.Context(), spec, cacheTestTable(8, "a"), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if s := rc.Stats(); s.Solves != 4 {
@@ -216,11 +216,11 @@ func TestPromptCacheMemoizes(t *testing.T) {
 func TestPromptCacheStageIdentity(t *testing.T) {
 	tbl := cacheTestTable(24, "")
 	spec := cacheTestSpec("Summarize the text.")
-	plain, err := RunStage(spec, tbl, Config{Policy: CacheGGR})
+	plain, err := RunStageContext(t.Context(), spec, tbl, Config{Policy: CacheGGR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo, err := RunStage(spec, tbl, Config{Policy: CacheGGR, PromptCache: NewPromptCache(0)})
+	memo, err := RunStageContext(t.Context(), spec, tbl, Config{Policy: CacheGGR, PromptCache: NewPromptCache(0)})
 	if err != nil {
 		t.Fatal(err)
 	}

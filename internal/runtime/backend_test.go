@@ -26,7 +26,7 @@ func runRefreshes(tb testing.TB, be backend.Backend, rows int) (Metrics, []*sqlf
 	defer rt.Close()
 	var results []*sqlfront.Result
 	for _, sql := range refreshStatements {
-		res, err := rt.Exec(sql, Options{})
+		res, err := rt.ExecContext(tb.Context(), sql, Options{})
 		if err != nil {
 			tb.Fatalf("%q: %v", sql, err)
 		}
@@ -83,7 +83,7 @@ func TestRuntimeBackendOverride(t *testing.T) {
 	cfg.Exec.Backend = inner // must lose to Config.Backend
 	rt := New(db, cfg)
 	defer rt.Close()
-	if _, err := rt.Exec(dashboardStatements[0], Options{}); err != nil {
+	if _, err := rt.ExecContext(t.Context(), dashboardStatements[0], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Batches()) == 0 {

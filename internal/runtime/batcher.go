@@ -15,7 +15,7 @@ import (
 // batcher coalesces pending LLM calls from concurrent statements into shared
 // engine runs. Submissions are grouped by stage fingerprint (same prompt,
 // schema, answer alphabet, and serving config — see stageFingerprint); a
-// group stays open for its batch window, or until it reaches MaxBatchRows,
+// group stays open for its batch window, or until it reaches maxBatchRows,
 // then flushes as one GGR-reordered stage over the union of its members'
 // rows. Rows from different statements that share the prompt prefix are
 // therefore scheduled next to each other, so the prefix cache hits across
@@ -136,7 +136,7 @@ func (b *batcher) submit(ctx context.Context, fp string, spec query.Spec, tbl *t
 	}
 	g.members = append(g.members, m)
 	g.rows += len(rows)
-	full := b.rt.cfg.maxBatchRows() > 0 && g.rows >= b.rt.cfg.maxBatchRows()
+	full := g.rows >= maxBatchRows
 	b.mu.Unlock()
 	if shortened {
 		b.rt.c.batchWindowsShortened.Add(1)

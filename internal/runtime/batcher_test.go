@@ -20,7 +20,7 @@ func TestBatcherMemberOrderDeterministic(t *testing.T) {
 	stmts := hotStageStatements[:3]
 	handles := make([]*Handle, len(stmts))
 	for i, sql := range stmts {
-		handles[i] = rt.Submit(sql, Options{})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{})
 	}
 
 	b := rt.batcher

@@ -69,7 +69,7 @@ func TestConcurrentBeatsSequential(t *testing.T) {
 	start := time.Now()
 	handles := make([]*Handle, len(stmts))
 	for i, sql := range stmts {
-		handles[i] = rt.Submit(sql, Options{})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{})
 	}
 	for i, h := range handles {
 		res, err := h.Wait()
@@ -116,7 +116,7 @@ func BenchmarkMultiClientServing(b *testing.B) {
 		rt := New(db, Config{Workers: 8, BatchWindow: 5 * time.Millisecond, Backend: be})
 		handles := make([]*Handle, len(stmts))
 		for j, sql := range stmts {
-			handles[j] = rt.Submit(sql, Options{})
+			handles[j] = rt.SubmitContext(b.Context(), sql, Options{})
 		}
 		for j, h := range handles {
 			if _, err := h.Wait(); err != nil {
@@ -232,7 +232,7 @@ func BenchmarkReorderCacheServing(b *testing.B) {
 		db := newDB(45)
 		rt := New(db, Config{Workers: 2, CacheCapacity: -1})
 		for turn := 0; turn < 2; turn++ {
-			if _, err := rt.Exec(dashboardStatements[0], Options{}); err != nil {
+			if _, err := rt.ExecContext(b.Context(), dashboardStatements[0], Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}

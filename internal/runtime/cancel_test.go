@@ -21,7 +21,7 @@ import (
 func TestCancelSurvivorCompletes(t *testing.T) {
 	db := newDB(24)
 	sql := dashboardStatements[0]
-	solo, err := db.Exec(sql, sqlfront.ExecConfig{})
+	solo, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestCancelSurvivorCompletes(t *testing.T) {
 
 	// The canceled statement's reservations were committed when its batch
 	// landed: a rerun must be pure cache hits, no model calls, same rows.
-	resC, errC := rt.Exec(sql, Options{})
+	resC, errC := rt.ExecContext(t.Context(), sql, Options{})
 	if errC != nil {
 		t.Fatal(errC)
 	}
@@ -87,7 +87,7 @@ func TestCancelDeadlineExceeded(t *testing.T) {
 
 	// Occupy the single worker (parked in its long batch window), then
 	// submit with a deadline that expires before the worker frees up.
-	blocker := rt.Submit(dashboardStatements[1], Options{})
+	blocker := rt.SubmitContext(t.Context(), dashboardStatements[1], Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
 	_, err := rt.ExecContext(ctx, dashboardStatements[0], Options{})
@@ -111,7 +111,7 @@ func TestCancelBeforePickup(t *testing.T) {
 
 	// Occupy the single worker, then queue a statement and cancel it before
 	// the worker can reach it.
-	blocker := rt.Submit(dashboardStatements[0], Options{})
+	blocker := rt.SubmitContext(t.Context(), dashboardStatements[0], Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := rt.SubmitContext(ctx, dashboardStatements[1], Options{})
 	cancel()
@@ -133,8 +133,8 @@ func TestCancelUnblocksFullQueue(t *testing.T) {
 
 	// One statement occupies the worker (parked in its batch window), one
 	// fills the queue; the third submission blocks on admission.
-	running := rt.Submit(dashboardStatements[0], Options{})
-	queued := rt.Submit(dashboardStatements[1], Options{})
+	running := rt.SubmitContext(t.Context(), dashboardStatements[0], Options{})
+	queued := rt.SubmitContext(t.Context(), dashboardStatements[1], Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	blockedDone := make(chan *Handle, 1)
 	go func() { blockedDone <- rt.SubmitContext(ctx, dashboardStatements[2], Options{}) }()
@@ -215,7 +215,7 @@ func TestStressCancelStorm(t *testing.T) {
 
 	// The runtime must still be fully serviceable after the storm.
 	for i, sql := range dashboardStatements {
-		res, err := rt.Exec(sql, Options{})
+		res, err := rt.ExecContext(t.Context(), sql, Options{})
 		if err != nil {
 			t.Fatalf("post-storm %q: %v", sql, err)
 		}

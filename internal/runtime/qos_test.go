@@ -59,7 +59,7 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 	// while under fair admission the interactive client would pay it inside
 	// its own measured latency — a confounder, not an admission effect.
 	for i := 0; i < warmStmts; i++ {
-		if _, err := rt.Exec(qosStatement("warm", i), Options{Client: "warm", Class: ClassBatch}); err != nil {
+		if _, err := rt.ExecContext(t.Context(), qosStatement("warm", i), Options{Client: "warm", Class: ClassBatch}); err != nil {
 			t.Fatalf("warmup statement %d: %v", i, err)
 		}
 	}
@@ -67,7 +67,7 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 	var batchHandles []*Handle
 	for c := 0; c < batchClients; c++ {
 		for i := 0; i < batchStmts; i++ {
-			batchHandles = append(batchHandles, rt.Submit(
+			batchHandles = append(batchHandles, rt.SubmitContext(t.Context(),
 				qosStatement(fmt.Sprintf("bulk%d", c), i),
 				Options{Client: ClientID(fmt.Sprintf("bulk%d", c)), Class: ClassBatch},
 			))
@@ -76,7 +76,7 @@ func runMixedWorkload(t *testing.T, fifo bool) (interactive []time.Duration, llm
 
 	for i := 0; i < interStmts; i++ {
 		start := time.Now()
-		if _, err := rt.Exec(qosStatement("dash", i), Options{Client: "dash", Class: ClassInteractive}); err != nil {
+		if _, err := rt.ExecContext(t.Context(), qosStatement("dash", i), Options{Client: "dash", Class: ClassInteractive}); err != nil {
 			t.Fatalf("interactive statement %d: %v", i, err)
 		}
 		interactive = append(interactive, time.Since(start))
@@ -251,10 +251,10 @@ func TestQuotaRejectsOverdrawnClient(t *testing.T) {
 	})
 	defer rt.Close()
 
-	if _, err := rt.Exec(qosStatement("q", 0), Options{Client: "miser"}); err != nil {
+	if _, err := rt.ExecContext(t.Context(), qosStatement("q", 0), Options{Client: "miser"}); err != nil {
 		t.Fatalf("first statement within burst: %v", err)
 	}
-	_, err := rt.Exec(qosStatement("q", 1), Options{Client: "miser"})
+	_, err := rt.ExecContext(t.Context(), qosStatement("q", 1), Options{Client: "miser"})
 	var qe *QuotaError
 	if !errors.As(err, &qe) {
 		t.Fatalf("over-quota error = %v, want *QuotaError", err)
@@ -262,7 +262,7 @@ func TestQuotaRejectsOverdrawnClient(t *testing.T) {
 	if qe.Client != "miser" || qe.RetryAfter <= 0 {
 		t.Errorf("quota error = %+v, want miser with positive retry", qe)
 	}
-	if _, err := rt.Exec(qosStatement("q", 2), Options{Client: "spender"}); err != nil {
+	if _, err := rt.ExecContext(t.Context(), qosStatement("q", 2), Options{Client: "spender"}); err != nil {
 		t.Errorf("unthrottled client rejected: %v", err)
 	}
 	m := rt.Metrics()
@@ -292,9 +292,9 @@ func TestQoSInteractiveClosesWindowEarly(t *testing.T) {
 	start := time.Now()
 	// dashboardStatements[0] and [1] share the LLM stage fingerprint (same
 	// prompt) over disjoint plain filters — the coalescing pair.
-	hBatch := rt.Submit(dashboardStatements[0], Options{Client: "bulk", Class: ClassBatch})
+	hBatch := rt.SubmitContext(t.Context(), dashboardStatements[0], Options{Client: "bulk", Class: ClassBatch})
 	time.Sleep(150 * time.Millisecond) // the batch window is open and parked
-	hInter := rt.Submit(dashboardStatements[1], Options{Client: "dash", Class: ClassInteractive})
+	hInter := rt.SubmitContext(t.Context(), dashboardStatements[1], Options{Client: "dash", Class: ClassInteractive})
 	if _, err := hInter.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestWaitContext(t *testing.T) {
 	rt := New(db, Config{Workers: 1, BatchWindow: 300 * time.Millisecond})
 	defer rt.Close()
 
-	h := rt.Submit(dashboardStatements[0], Options{})
+	h := rt.SubmitContext(t.Context(), dashboardStatements[0], Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	if _, err := h.WaitContext(ctx); !errors.Is(err, context.DeadlineExceeded) {

@@ -6,7 +6,7 @@
 //
 // Architecture, top to bottom:
 //
-//	Submit/Exec/Prepare                    (statement API; Options carries the
+//	SubmitContext/ExecContext/Prepare      (statement API; Options carries the
 //	      │                                 tenant's ClientID and service Class)
 //	quota gate                             (per-client token/call buckets;
 //	      │                                 overdrawn clients get a QuotaError —
@@ -55,7 +55,7 @@
 // backend the same effect extends across batch windows: the second
 // dashboard refresh finds the first refresh's prefixes still cached.
 //
-// Cancellation: every submission path has a Context variant. A canceled
+// Cancellation: every submission path takes a context. A canceled
 // statement fails fast in the admission queue, stops between LLM stages,
 // and abandons a pending batch wait — without poisoning shared state: the
 // coalesced run it joined still completes (it may carry other statements'
@@ -91,8 +91,8 @@ import (
 type Config struct {
 	// Workers bounds concurrently executing statements.
 	Workers int
-	// QueueDepth bounds admitted-but-unscheduled statements; Submit blocks
-	// (backpressure) once the queue is full.
+	// QueueDepth bounds admitted-but-unscheduled statements; SubmitContext
+	// blocks (backpressure) once the queue is full.
 	QueueDepth int
 	// BatchWindow is how long the first pending call of a stage fingerprint
 	// waits for concurrent statements to join its batch. Longer windows
@@ -109,13 +109,6 @@ type Config struct {
 	// statement deadline (context deadline) closer than the window always
 	// closes the batch in time.
 	BatchClassWindow time.Duration
-	// InteractiveWeight and BatchWeight are the admission scheduler's DRR
-	// quantums per class (defaults 4 and 1): of every 5 admission slots
-	// under contention, interactive flows get 4. Each distinct (client,
-	// class) pair is its own flow, so no tenant — and no tenant's batch
-	// backlog — can starve another's interactive traffic.
-	InteractiveWeight int
-	BatchWeight       int
 	// FIFOAdmission reverts the admission scheduler to PR 3's anonymous
 	// single FIFO — the A/B baseline for the QoS acceptance test, in the
 	// Naive tradition.
@@ -126,9 +119,6 @@ type Config struct {
 	// *QuotaError carrying the retry horizon.
 	DefaultQuota Quota
 	ClientQuotas map[ClientID]Quota
-	// MaxBatchRows flushes a batch early once it holds this many rows
-	// (default 4096; negative disables the cap).
-	MaxBatchRows int
 	// CacheCapacity bounds the result cache in entries, evicted LRU
 	// (default 65536; negative disables result caching — inflight dedup
 	// still collapses concurrent identical calls).
@@ -213,27 +203,6 @@ func (c Config) windowFor(class Class) time.Duration {
 	return 10 * w
 }
 
-func (c Config) interactiveWeight() int {
-	if c.InteractiveWeight > 0 {
-		return c.InteractiveWeight
-	}
-	return 4
-}
-
-func (c Config) batchWeight() int {
-	if c.BatchWeight > 0 {
-		return c.BatchWeight
-	}
-	return 1
-}
-
-func (c Config) maxBatchRows() int {
-	if c.MaxBatchRows != 0 {
-		return c.MaxBatchRows
-	}
-	return 4096
-}
-
 func (c Config) cacheCapacity() int {
 	if c.CacheCapacity != 0 {
 		return c.CacheCapacity
@@ -254,6 +223,19 @@ func (c Config) traceRingSize() int {
 	}
 	return 128
 }
+
+// interactiveWeight and batchWeight are the admission scheduler's DRR
+// quantums per class: of every 5 admission slots under contention,
+// interactive flows get 4. Each distinct (client, class) pair is its own
+// flow, so no tenant — and no tenant's batch backlog — can starve another's
+// interactive traffic.
+const (
+	interactiveWeight = 4
+	batchWeight       = 1
+)
+
+// maxBatchRows flushes a batch early once it holds this many rows.
+const maxBatchRows = 4096
 
 // rollupLimit bounds distinct StageKeys the per-stage rollup store tracks —
 // far above any realistic stage cardinality, it only guards /v1/metrics
@@ -370,11 +352,12 @@ func (h *Handle) Trace() *obs.Trace { return h.trace }
 // Wait returns. Statements that failed admission report a zero summary.
 func (h *Handle) Summary() StmtSummary { return h.summary }
 
-// Wait blocks until the statement finishes and returns its result. It is
-// WaitContext without a way to give up.
+// Wait blocks until the statement finishes and returns its result. The
+// statement's own submission context governs how long that takes; use
+// WaitContext to stop waiting sooner.
 func (h *Handle) Wait() (*sqlfront.Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over WaitContext
-	return h.WaitContext(context.Background())
+	<-h.done
+	return h.res, h.err
 }
 
 // WaitContext blocks until the statement finishes or ctx dies, whichever
@@ -399,7 +382,7 @@ func New(db *sqlfront.DB, cfg Config) *Runtime {
 	rt := &Runtime{
 		db:        db,
 		cfg:       cfg,
-		queue:     newFairQueue(cfg.queueDepth(), cfg.interactiveWeight(), cfg.batchWeight(), cfg.FIFOAdmission),
+		queue:     newFairQueue(cfg.queueDepth(), interactiveWeight, batchWeight, cfg.FIFOAdmission),
 		cache:     newResultCache(cfg.cacheCapacity()),
 		plans:     make(map[string]*sqlfront.Prepared),
 		preparing: make(map[string]chan struct{}),
@@ -549,14 +532,9 @@ func unwrapBackend(be backend.Backend) backend.Backend {
 // CachedResults reports the result cache's current entry count.
 func (rt *Runtime) CachedResults() int { return rt.cache.len() }
 
-// Submit admits one statement and returns immediately with its future.
-// Admission blocks while the queue is full; a closed runtime fails fast.
-func (rt *Runtime) Submit(sql string, opts Options) *Handle {
-	//llmqlint:detached -- no-cancellation convenience wrapper over SubmitContext
-	return rt.SubmitContext(context.Background(), sql, opts)
-}
-
-// SubmitContext is Submit with a statement-scoped context. Canceling ctx
+// SubmitContext admits one statement under a statement-scoped context and
+// returns immediately with its future. Admission blocks while the queue is
+// full (or until ctx dies); a closed runtime fails fast. Canceling ctx
 // cancels the statement wherever it is: still queued (it fails fast when a
 // worker picks it up), between LLM stages, or parked in a batch window. The
 // handle then resolves with an error wrapping ctx.Err(); shared state —
@@ -575,18 +553,13 @@ func (rt *Runtime) SubmitContext(ctx context.Context, sql string, opts Options) 
 	return rt.submitPrepared(ctx, p, opts, planState, time.Since(prepStart))
 }
 
-// Exec is Submit + Wait: run one statement to completion.
-func (rt *Runtime) Exec(sql string, opts Options) (*sqlfront.Result, error) {
-	return rt.Submit(sql, opts).Wait()
-}
-
-// ExecContext is SubmitContext + Wait.
+// ExecContext is SubmitContext + Wait: run one statement to completion.
 func (rt *Runtime) ExecContext(ctx context.Context, sql string, opts Options) (*sqlfront.Result, error) {
 	return rt.SubmitContext(ctx, sql, opts).Wait()
 }
 
-// Stmt is a prepared statement bound to the runtime: Execute skips parse,
-// bind, and planning on every run.
+// Stmt is a prepared statement bound to the runtime: ExecuteContext skips
+// parse, bind, and planning on every run.
 type Stmt struct {
 	rt *Runtime
 	p  *sqlfront.Prepared
@@ -605,23 +578,15 @@ func (rt *Runtime) Prepare(sql string) (*Stmt, error) {
 // SQL returns the statement text.
 func (s *Stmt) SQL() string { return s.p.SQL() }
 
-// Submit admits the prepared statement and returns its future.
-//
-//llmqlint:detached -- no-cancellation convenience wrapper over SubmitContext
-func (s *Stmt) Submit(opts Options) *Handle { return s.SubmitContext(context.Background(), opts) }
-
-// SubmitContext is Submit with a statement-scoped context (see
-// Runtime.SubmitContext for the cancellation semantics).
+// SubmitContext admits the prepared statement under a statement-scoped
+// context and returns its future (see Runtime.SubmitContext for the
+// cancellation semantics).
 func (s *Stmt) SubmitContext(ctx context.Context, opts Options) *Handle {
 	return s.rt.submitPrepared(ctx, s.p, opts, "prepared", 0)
 }
 
-// Execute runs the prepared statement to completion.
-func (s *Stmt) Execute(opts Options) (*sqlfront.Result, error) {
-	return s.Submit(opts).Wait()
-}
-
-// ExecuteContext is SubmitContext + Wait.
+// ExecuteContext is SubmitContext + Wait: run the prepared statement to
+// completion.
 func (s *Stmt) ExecuteContext(ctx context.Context, opts Options) (*sqlfront.Result, error) {
 	return s.SubmitContext(ctx, opts).Wait()
 }

@@ -54,7 +54,7 @@ var dashboardStatements = []string{
 func seqBaseline(t testing.TB, db *sqlfront.DB, stmts []string) (results []*sqlfront.Result, calls int64, jct float64) {
 	t.Helper()
 	for _, sql := range stmts {
-		res, err := db.Exec(sql, sqlfront.ExecConfig{})
+		res, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 		if err != nil {
 			t.Fatalf("sequential %q: %v", sql, err)
 		}
@@ -86,7 +86,7 @@ func TestRuntimeMatchesSequential(t *testing.T) {
 	defer rt.Close()
 	handles := make([]*Handle, len(dashboardStatements))
 	for i, sql := range dashboardStatements {
-		handles[i] = rt.Submit(sql, Options{})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{})
 	}
 	for i, h := range handles {
 		got, err := h.Wait()
@@ -106,7 +106,7 @@ func TestResultCacheAccounting(t *testing.T) {
 	defer rt.Close()
 	sql := dashboardStatements[0]
 
-	first, err := rt.Exec(sql, Options{})
+	first, err := rt.ExecContext(t.Context(), sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestResultCacheAccounting(t *testing.T) {
 		t.Errorf("cached entries = %d, want %d", rt.CachedResults(), first.LLMCalls)
 	}
 
-	second, err := rt.Exec(sql, Options{})
+	second, err := rt.ExecContext(t.Context(), sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestResultCacheAccounting(t *testing.T) {
 func TestInflightDedup(t *testing.T) {
 	db := newDB(18)
 	sql := dashboardStatements[2]
-	solo, err := db.Exec(sql, sqlfront.ExecConfig{})
+	solo, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestInflightDedup(t *testing.T) {
 	defer rt.Close()
 	handles := make([]*Handle, k)
 	for i := range handles {
-		handles[i] = rt.Submit(sql, Options{})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{})
 	}
 	for _, h := range handles {
 		res, err := h.Wait()
@@ -199,11 +199,11 @@ func TestPreparedStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := stmt.Execute(Options{})
+	first, err := stmt.ExecuteContext(t.Context(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := stmt.Execute(Options{})
+	again, err := stmt.ExecuteContext(t.Context(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestPreparedStatements(t *testing.T) {
 	// A schema-compatible re-registration must be picked up (new rows), not
 	// served from the stale binding.
 	db.Register("tickets", ticketsTable(20))
-	bigger, err := stmt.Execute(Options{})
+	bigger, err := stmt.ExecuteContext(t.Context(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for _, sql := range stmts {
-			if _, err := rt.Exec(sql, Options{}); err != nil {
+			if _, err := rt.ExecContext(t.Context(), sql, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -270,11 +270,11 @@ func TestNaivePlannedToggle(t *testing.T) {
 	        FROM tickets
 	        WHERE region = 'emea' AND LLM('Did the response resolve the request?', request, response) = 'Yes'`
 
-	planned, err := rt.Exec(sql, Options{})
+	planned, err := rt.ExecContext(t.Context(), sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := rt.Exec(sql, Options{Naive: true})
+	naive, err := rt.ExecContext(t.Context(), sql, Options{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestNaivePlannedToggle(t *testing.T) {
 func TestSubmitAfterClose(t *testing.T) {
 	rt := New(newDB(4), Config{Workers: 1})
 	rt.Close()
-	if _, err := rt.Exec(dashboardStatements[0], Options{}); err == nil {
+	if _, err := rt.ExecContext(t.Context(), dashboardStatements[0], Options{}); err == nil {
 		t.Fatal("Exec on a closed runtime succeeded")
 	}
 	rt.Close() // idempotent
@@ -298,10 +298,10 @@ func TestSubmitAfterClose(t *testing.T) {
 func TestErrorStatement(t *testing.T) {
 	rt := New(newDB(4), Config{Workers: 1})
 	defer rt.Close()
-	if _, err := rt.Exec(`SELECT nope FROM tickets`, Options{}); err == nil {
+	if _, err := rt.ExecContext(t.Context(), `SELECT nope FROM tickets`, Options{}); err == nil {
 		t.Fatal("unknown column accepted")
 	}
-	if _, err := rt.Exec(`SELECT * FROM missing`, Options{}); err == nil {
+	if _, err := rt.ExecContext(t.Context(), `SELECT * FROM missing`, Options{}); err == nil {
 		t.Fatal("unknown table accepted")
 	}
 	if m := rt.Metrics(); m.StatementsFailed != 0 {

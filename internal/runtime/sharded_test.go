@@ -36,7 +36,7 @@ func runHotWorkload(t testing.TB, be backend.Backend, rows int) (Metrics, []*sql
 	defer rt.Close()
 	handles := make([]*Handle, len(hotStageStatements))
 	for i, sql := range hotStageStatements {
-		handles[i] = rt.Submit(sql, Options{})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{})
 	}
 	results := make([]*sqlfront.Result, len(handles))
 	for i, h := range handles {
@@ -127,7 +127,7 @@ func TestReorderCacheRepeatedWindow(t *testing.T) {
 	defer rt.Close()
 	sql := dashboardStatements[0]
 
-	first, err := rt.Exec(sql, Options{})
+	first, err := rt.ExecContext(t.Context(), sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestReorderCacheRepeatedWindow(t *testing.T) {
 	if m1.ReorderSolves != 1 || m1.ReorderCacheHits != 0 {
 		t.Fatalf("first window: solves=%d hits=%d, want 1/0", m1.ReorderSolves, m1.ReorderCacheHits)
 	}
-	second, err := rt.Exec(sql, Options{})
+	second, err := rt.ExecContext(t.Context(), sql, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestReorderCacheDisabled(t *testing.T) {
 	db := newDB(12)
 	rt := New(db, Config{Workers: 1, ReorderCacheCapacity: -1, PromptCacheCapacity: -1})
 	defer rt.Close()
-	if _, err := rt.Exec(dashboardStatements[0], Options{}); err != nil {
+	if _, err := rt.ExecContext(t.Context(), dashboardStatements[0], Options{}); err != nil {
 		t.Fatal(err)
 	}
 	m := rt.Metrics()

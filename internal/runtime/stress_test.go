@@ -39,7 +39,7 @@ func TestStressManyClients(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
 				idx := (c + i) % len(dashboardStatements)
-				res, err := rt.Exec(dashboardStatements[idx], Options{})
+				res, err := rt.ExecContext(t.Context(), dashboardStatements[idx], Options{})
 				if err != nil {
 					errs <- err
 					return
@@ -91,13 +91,13 @@ func TestStressManyClients(t *testing.T) {
 func TestStressRegistrationDuringExecution(t *testing.T) {
 	db := newDB(15)
 	sql := `SELECT region, COUNT(*) AS n FROM tickets GROUP BY region ORDER BY region`
-	small, err := db.Exec(sql, sqlfront.ExecConfig{})
+	small, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bigDB := sqlfront.NewDB()
 	bigDB.Register("tickets", ticketsTable(30))
-	big, err := bigDB.Exec(sql, sqlfront.ExecConfig{})
+	big, err := bigDB.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestStressRegistrationDuringExecution(t *testing.T) {
 		go func() {
 			defer clients.Done()
 			for i := 0; i < 20; i++ {
-				res, err := rt.Exec(sql, Options{})
+				res, err := rt.ExecContext(t.Context(), sql, Options{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -147,7 +147,7 @@ func TestStressRegistrationDuringExecution(t *testing.T) {
 func TestStressRepeatedPrepared(t *testing.T) {
 	db := newDB(20)
 	sql := dashboardStatements[0]
-	solo, err := db.Exec(sql, sqlfront.ExecConfig{})
+	solo, err := db.ExecContext(t.Context(), sql, sqlfront.ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestStressRepeatedPrepared(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				res, err := stmt.Execute(Options{})
+				res, err := stmt.ExecuteContext(t.Context(), Options{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -47,7 +47,7 @@ func TestTraceConservation(t *testing.T) {
 
 	handles := make([]*Handle, len(stmts))
 	for i, sql := range stmts {
-		handles[i] = rt.Submit(sql, Options{Trace: true})
+		handles[i] = rt.SubmitContext(t.Context(), sql, Options{Trace: true})
 	}
 	for i, h := range handles {
 		if _, err := h.Wait(); err != nil {
@@ -121,7 +121,7 @@ func TestTraceOffIsFree(t *testing.T) {
 	db := newDB(12)
 	rt := New(db, Config{Workers: 2})
 	defer rt.Close()
-	h := rt.Submit(dashboardStatements[0], Options{})
+	h := rt.SubmitContext(t.Context(), dashboardStatements[0], Options{})
 	if _, err := h.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestSlowQueryLog(t *testing.T) {
 		`SELECT ticket_id, LLM('Classify the fault.', request) AS c FROM tickets WHERE region = 'apac'`,
 	}
 	for _, sql := range stmts {
-		h := rt.Submit(sql, Options{}) // no explicit trace: the threshold arms it
+		h := rt.SubmitContext(t.Context(), sql, Options{}) // no explicit trace: the threshold arms it
 		if _, err := h.Wait(); err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -195,7 +195,7 @@ func TestStageRollups(t *testing.T) {
 	sql := `SELECT ticket_id FROM tickets
 	        WHERE LLM('Is the request about a hardware fault?', request) = 'Yes' AND region <> 'apac'`
 	for i := 0; i < 2; i++ { // second run hits the result cache
-		if _, err := rt.Exec(sql, Options{}); err != nil {
+		if _, err := rt.ExecContext(t.Context(), sql, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkTracingOff(b *testing.B) {
 		rt := New(db, Config{Workers: 8, BatchWindow: 5 * time.Millisecond})
 		handles := make([]*Handle, len(stmts))
 		for j, sql := range stmts {
-			handles[j] = rt.Submit(sql, Options{})
+			handles[j] = rt.SubmitContext(b.Context(), sql, Options{})
 		}
 		for j, h := range handles {
 			if _, err := h.Wait(); err != nil {

@@ -399,8 +399,8 @@ func handleSQL(cfg Config, w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
 		defer cancel()
 	}
-	// Submit + Wait (rather than ExecContext) keeps the handle: the settled
-	// summary feeds the access log and the trace rides the response.
+	// SubmitContext + Wait (rather than ExecContext) keeps the handle: the
+	// settled summary feeds the access log and the trace rides the response.
 	h := rt.SubmitContext(ctx, req.SQL, opts)
 	res, err := h.Wait()
 	code := "ok"

@@ -138,22 +138,16 @@ type Result struct {
 	Stages        int
 }
 
-// Exec parses, plans, and runs one LLM-SQL statement. Every LLM stage is
-// scheduled under cfg.Policy, so switching the policy (no-cache / original /
-// GGR) changes only performance, never results. The logical plan additionally
-// pushes table-local plain predicates below the join, places the join ahead
-// of every LLM stage, runs each distinct LLM call once, and cascades
-// cost-ordered LLM filters so expensive stages see only rows the cheap ones
-// kept (see Plan); cfg.Naive reverts to the unoptimized plan for comparison.
-// Exec is ExecContext without cancellation.
-func (db *DB) Exec(src string, cfg ExecConfig) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecContext
-	return db.ExecContext(context.Background(), src, cfg)
-}
-
-// ExecContext is Exec honoring ctx: cancellation is checked before every
-// LLM stage (and between engine steps within one), and a canceled statement
-// returns an error wrapping ctx.Err().
+// ExecContext parses, plans, and runs one LLM-SQL statement. Every LLM
+// stage is scheduled under cfg.Policy, so switching the policy (no-cache /
+// original / GGR) changes only performance, never results. The logical plan
+// additionally pushes table-local plain predicates below the join, places
+// the join ahead of every LLM stage, runs each distinct LLM call once, and
+// cascades cost-ordered LLM filters so expensive stages see only rows the
+// cheap ones kept (see Plan); cfg.Naive reverts to the unoptimized plan for
+// comparison. Cancellation is checked before every LLM stage (and between
+// engine steps within one), and a canceled statement returns an error
+// wrapping ctx.Err().
 func (db *DB) ExecContext(ctx context.Context, src string, cfg ExecConfig) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
@@ -162,17 +156,12 @@ func (db *DB) ExecContext(ctx context.Context, src string, cfg ExecConfig) (*Res
 	return db.ExecParsedContext(ctx, q, cfg)
 }
 
-// ExecParsed is Exec for an already-parsed statement (callers that inspect
-// the AST first, e.g. llmq.ExecSQL, avoid parsing twice). Binding resolves
-// q's column references in place, so q is consumed: executing it again
-// requires a fresh Parse (or a Prepared statement, which keeps the bound
-// form and both plans for repeated execution).
-func (db *DB) ExecParsed(q *Query, cfg ExecConfig) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecParsedContext
-	return db.ExecParsedContext(context.Background(), q, cfg)
-}
-
-// ExecParsedContext is ExecParsed honoring ctx.
+// ExecParsedContext is ExecContext for an already-parsed statement (callers
+// that inspect the AST first, e.g. llmq.ExecSQLContext, avoid parsing
+// twice). Binding resolves q's column references in place, so q is
+// consumed: executing it again requires a fresh Parse (or a Prepared
+// statement, which keeps the bound form and both plans for repeated
+// execution).
 func (db *DB) ExecParsedContext(ctx context.Context, q *Query, cfg ExecConfig) (*Result, error) {
 	st, err := db.prepareParsed(q)
 	if err != nil {

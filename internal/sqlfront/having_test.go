@@ -26,7 +26,7 @@ func tableFromRows(t *testing.T, cols []string, rows [][]string) *table.Table {
 
 func mustExec(t *testing.T, db *DB, sql string, cfg ExecConfig) *Result {
 	t.Helper()
-	res, err := db.Exec(sql, cfg)
+	res, err := db.ExecContext(t.Context(), sql, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
@@ -151,7 +151,7 @@ func TestHavingValidation(t *testing.T) {
 		// Aggregates are HAVING-only, not WHERE.
 		`SELECT ticket_id FROM tickets WHERE COUNT(*) > 3`,
 	} {
-		if _, err := db.Exec(sql, ExecConfig{}); err == nil {
+		if _, err := db.ExecContext(t.Context(), sql, ExecConfig{}); err == nil {
 			t.Errorf("%s: accepted", sql)
 		}
 	}
@@ -244,12 +244,12 @@ func TestPreparedReusesAcrossConfigs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := p.Exec(ExecConfig{})
+	first, err := p.ExecContext(t.Context(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := p.Exec(ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
+		again, err := p.ExecContext(t.Context(), ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestPreparedReusesAcrossConfigs(t *testing.T) {
 			t.Fatalf("run %d: %v != %v", i, again.Rows, first.Rows)
 		}
 	}
-	naive, err := p.Exec(ExecConfig{Naive: true})
+	naive, err := p.ExecContext(t.Context(), ExecConfig{Naive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestPreparedTracksReregistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.Exec(ExecConfig{})
+	res, err := p.ExecContext(t.Context(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestPreparedTracksReregistration(t *testing.T) {
 		t.Fatalf("count = %v", res.Rows)
 	}
 	db.Register("t", tableFromRows(t, []string{"a"}, [][]string{{"x"}, {"y"}, {"z"}}))
-	res, err = p.Exec(ExecConfig{})
+	res, err = p.ExecContext(t.Context(), ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

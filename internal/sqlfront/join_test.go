@@ -47,7 +47,7 @@ func joinDB() *DB {
 
 func TestExecJoinPlainPredicate(t *testing.T) {
 	db := joinDB()
-	res, err := db.Exec(`SELECT t.ticket_id, c.region FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id WHERE c.tier = 'pro'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT t.ticket_id, c.region FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id WHERE c.tier = 'pro'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestExecJoinUnqualifiedUnambiguousColumns(t *testing.T) {
 	db := joinDB()
 	// ticket_id, tier, region are unique across the two tables; only the
 	// join key needs qualification.
-	res, err := db.Exec(`SELECT ticket_id, region FROM tickets JOIN customers ON tickets.customer_id = customers.customer_id WHERE tier = 'free' ORDER BY tickets.ticket_id LIMIT 3`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id, region FROM tickets JOIN customers ON tickets.customer_id = customers.customer_id WHERE tier = 'free' ORDER BY tickets.ticket_id LIMIT 3`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestExecJoinUnqualifiedUnambiguousColumns(t *testing.T) {
 
 func TestExecJoinOrderPreservesLeftTable(t *testing.T) {
 	db := joinDB()
-	res, err := db.Exec(`SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExecJoinOrderPreservesLeftTable(t *testing.T) {
 
 func TestExecSelfJoin(t *testing.T) {
 	db := joinDB()
-	res, err := db.Exec(`SELECT a.ticket_id, b.ticket_id FROM tickets AS a JOIN tickets AS b ON a.customer_id = b.customer_id WHERE a.ticket_id = 'T-1000'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT a.ticket_id, b.ticket_id FROM tickets AS a JOIN tickets AS b ON a.customer_id = b.customer_id WHERE a.ticket_id = 'T-1000'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestExecThreeWayJoin(t *testing.T) {
 	plans.MustAppendRow("pro", "99")
 	plans.MustAppendRow("free", "0")
 	db.Register("plans", plans)
-	res, err := db.Exec(`SELECT p.price, COUNT(*) AS n FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id JOIN plans AS p ON c.tier = p.tier GROUP BY p.price ORDER BY n`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT p.price, COUNT(*) AS n FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id JOIN plans AS p ON c.tier = p.tier GROUP BY p.price ORDER BY n`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestExecThreeWayJoin(t *testing.T) {
 
 func TestExecJoinGroupByWithLLMAggregate(t *testing.T) {
 	db := joinDB()
-	res, err := db.Exec(`SELECT c.tier, COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', t.request)) AS urgency FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id GROUP BY c.tier`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT c.tier, COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', t.request)) AS urgency FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id GROUP BY c.tier`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestExecJoinErrors(t *testing.T) {
 		`SELECT t.nope FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id`:          "no column",
 	}
 	for src, want := range bad {
-		_, err := db.Exec(src, execCfg())
+		_, err := db.ExecContext(t.Context(), src, execCfg())
 		if err == nil {
 			t.Errorf("Exec(%q) succeeded", src)
 			continue
@@ -182,7 +182,7 @@ func TestExecJoinErrors(t *testing.T) {
 
 func TestExecUnregisteredTableErrorListsRegistered(t *testing.T) {
 	db := joinDB()
-	_, err := db.Exec(`SELECT a FROM nope`, execCfg())
+	_, err := db.ExecContext(t.Context(), `SELECT a FROM nope`, execCfg())
 	if err == nil {
 		t.Fatal("unregistered table accepted")
 	}
@@ -192,7 +192,7 @@ func TestExecUnregisteredTableErrorListsRegistered(t *testing.T) {
 		}
 	}
 	empty := NewDB()
-	if _, err := empty.Exec(`SELECT a FROM nope`, execCfg()); err == nil || !strings.Contains(err.Error(), "no tables registered") {
+	if _, err := empty.ExecContext(t.Context(), `SELECT a FROM nope`, execCfg()); err == nil || !strings.Contains(err.Error(), "no tables registered") {
 		t.Errorf("empty-registry error = %v", err)
 	}
 }
@@ -201,7 +201,7 @@ func TestExecOrderByQualifiedSpellings(t *testing.T) {
 	db := joinDB()
 	// Single table: a qualified ORDER BY key resolves to the bare output
 	// column.
-	single, err := db.Exec(`SELECT ticket_id FROM tickets ORDER BY tickets.ticket_id DESC LIMIT 1`, execCfg())
+	single, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets ORDER BY tickets.ticket_id DESC LIMIT 1`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestExecOrderByQualifiedSpellings(t *testing.T) {
 	}
 	// Join: an unqualified ORDER BY key resolves to the canonical qualified
 	// output column.
-	joined, err := db.Exec(`SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id ORDER BY ticket_id DESC LIMIT 1`, execCfg())
+	joined, err := db.ExecContext(t.Context(), `SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id ORDER BY ticket_id DESC LIMIT 1`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestExecOrderByQualifiedSpellings(t *testing.T) {
 		t.Errorf("join unqualified ORDER BY rows = %v", joined.Rows)
 	}
 	// A key that is neither an output column nor resolvable still errors.
-	if _, err := db.Exec(`SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id ORDER BY c.region`, execCfg()); err == nil {
+	if _, err := db.ExecContext(t.Context(), `SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id ORDER BY c.region`, execCfg()); err == nil {
 		t.Error("ORDER BY on an unselected column accepted")
 	}
 }
@@ -227,7 +227,7 @@ func TestExecDuplicateLLMFieldsCollapse(t *testing.T) {
 	// A field listed twice (directly or via qualification) must not break
 	// the projected stage table.
 	db := joinDB()
-	res, err := db.Exec(`SELECT LLM('Summarize', request, request, tickets.request) AS s FROM tickets`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT LLM('Summarize', request, request, tickets.request) AS s FROM tickets`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestExecQualifiedAndBareSpellingsDedup(t *testing.T) {
 	// LLM('p', request) and LLM('p', tickets.request) resolve to the same
 	// canonical column and must share one stage.
 	db := joinDB()
-	res, err := db.Exec(`SELECT LLM('Summarize', request) AS a, LLM('Summarize', tickets.request) AS b FROM tickets`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT LLM('Summarize', request) AS a, LLM('Summarize', tickets.request) AS b FROM tickets`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +271,13 @@ const costSQL = `SELECT t.ticket_id
 // model calls and finishing sooner on the simulator.
 func TestExecJoinCostOrderedFewerCallsSameRows(t *testing.T) {
 	db := joinDB()
-	planned, err := db.Exec(costSQL, execCfg())
+	planned, err := db.ExecContext(t.Context(), costSQL, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	naiveCfg := execCfg()
 	naiveCfg.Naive = true
-	naive, err := db.Exec(costSQL, naiveCfg)
+	naive, err := db.ExecContext(t.Context(), costSQL, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,11 +398,11 @@ func TestBuildPlanJoinPushdownClassification(t *testing.T) {
 func TestExecJoinLLMFilterPolicyInvariant(t *testing.T) {
 	db := joinDB()
 	sql := `SELECT t.ticket_id FROM tickets AS t JOIN customers AS c ON t.customer_id = c.customer_id WHERE LLM('Is this region on fire?', c.region) = 'Yes'`
-	ggr, err := db.Exec(sql, ExecConfig{Config: query.Config{Policy: query.CacheGGR}})
+	ggr, err := db.ExecContext(t.Context(), sql, ExecConfig{Config: query.Config{Policy: query.CacheGGR}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, err := db.Exec(sql, ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
+	orig, err := db.ExecContext(t.Context(), sql, ExecConfig{Config: query.Config{Policy: query.CacheOriginal}})
 	if err != nil {
 		t.Fatal(err)
 	}

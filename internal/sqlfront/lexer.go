@@ -6,9 +6,9 @@
 // and plain-column comparisons (all six operators); GROUP BY / HAVING /
 // multi-key ORDER BY / LIMIT shape the output. Columns may be qualified with
 // the table name or alias (alias.column) anywhere a column is legal.
-// Statements execute one at a time through DB.Exec, repeatedly through
-// DB.Prepare, and concurrently — with cross-query batching and result
-// caching — through internal/runtime, which injects itself via
+// Statements execute one at a time through DB.ExecContext, repeatedly
+// through DB.Prepare, and concurrently — with cross-query batching and
+// result caching — through internal/runtime, which injects itself via
 // ExecConfig.StageRunner.
 //
 // Grammar (case-insensitive keywords; "..." are terminals):

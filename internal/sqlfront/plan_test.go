@@ -157,13 +157,13 @@ func TestExecPushdownFewerCallsSameRows(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
 
-	planned, err := db.Exec(sql, execCfg())
+	planned, err := db.ExecContext(t.Context(), sql, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	naiveCfg := execCfg()
 	naiveCfg.Naive = true
-	naive, err := db.Exec(sql, naiveCfg)
+	naive, err := db.ExecContext(t.Context(), sql, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,13 +187,13 @@ func TestExecDedupFewerCallsSameRows(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
 
-	planned, err := db.Exec(sql, execCfg())
+	planned, err := db.ExecContext(t.Context(), sql, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	naiveCfg := execCfg()
 	naiveCfg.Naive = true
-	naive, err := db.Exec(sql, naiveCfg)
+	naive, err := db.ExecContext(t.Context(), sql, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestExecSharedWhereSelectCallRunsOnce(t *testing.T) {
 	sql := `SELECT ticket_id, LLM('Did the response help?', support_response) AS verdict FROM tickets WHERE LLM('Did the response help?', support_response) = 'Yes'`
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(sql, execCfg())
+	res, err := db.ExecContext(t.Context(), sql, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestExecSameCallMultipleLiterals(t *testing.T) {
 	// branch is reachable.
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT ticket_id, LLM('Mood?', request) AS mood FROM tickets WHERE LLM('Mood?', request) = 'happy' OR LLM('Mood?', request) = 'sad'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id, LLM('Mood?', request) AS mood FROM tickets WHERE LLM('Mood?', request) = 'happy' OR LLM('Mood?', request) = 'sad'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestExecSameCallMultipleLiterals(t *testing.T) {
 	}
 
 	// One answer per row can never equal two different literals at once.
-	and, err := db.Exec(`SELECT ticket_id FROM tickets WHERE LLM('Mood?', request) = 'happy' AND LLM('Mood?', request) = 'sad'`, execCfg())
+	and, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE LLM('Mood?', request) = 'happy' AND LLM('Mood?', request) = 'sad'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestExecAggregatedCallSharedWithWhere(t *testing.T) {
 	// a score and averaging the survivors is meaningful.
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS score FROM tickets WHERE LLM('Rate the urgency 1-5', request) = '5'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS score FROM tickets WHERE LLM('Rate the urgency 1-5', request) = '5'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestExecQuotedNumericLiteralMatchesScore(t *testing.T) {
 	// aggregation stage's integer score outputs numerically.
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	quoted, err := db.Exec(`SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS s FROM tickets WHERE LLM('Rate the urgency 1-5', request) = '5.0'`, execCfg())
+	quoted, err := db.ExecContext(t.Context(), `SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS s FROM tickets WHERE LLM('Rate the urgency 1-5', request) = '5.0'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := db.Exec(`SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS s FROM tickets WHERE LLM('Rate the urgency 1-5', request) = 5`, execCfg())
+	bare, err := db.ExecContext(t.Context(), `SELECT COUNT(*) AS n, AVG(LLM('Rate the urgency 1-5', request)) AS s FROM tickets WHERE LLM('Rate the urgency 1-5', request) = 5`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestValueLessTotalOrderWithNaN(t *testing.T) {
 func TestExecPlainWhereNeedsNoLLM(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT ticket_id FROM tickets WHERE category = 'billing' AND NOT ticket_id = 'T-1000'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE category = 'billing' AND NOT ticket_id = 'T-1000'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestExecPlainWhereNeedsNoLLM(t *testing.T) {
 func TestExecGroupByCount(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT category, COUNT(*) AS n FROM tickets GROUP BY category ORDER BY n DESC`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT category, COUNT(*) AS n FROM tickets GROUP BY category ORDER BY n DESC`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestExecGroupByCount(t *testing.T) {
 func TestExecGroupByWithLLMAggregate(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT category, AVG(LLM('Rate 1-5', request)) AS score, COUNT(*) AS n FROM tickets GROUP BY category`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT category, AVG(LLM('Rate 1-5', request)) AS score, COUNT(*) AS n FROM tickets GROUP BY category`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestExecGroupByWithLLMAggregate(t *testing.T) {
 func TestExecPlainAggregates(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT COUNT(*), SUM(priority), MIN(ticket_id), MAX(ticket_id), AVG(priority) FROM tickets`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT COUNT(*), SUM(priority), MIN(ticket_id), MAX(ticket_id), AVG(priority) FROM tickets`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,14 +487,14 @@ func TestExecPlainAggregates(t *testing.T) {
 func TestExecNumericPredicate(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT ticket_id FROM tickets WHERE priority = 2`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE priority = 2`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 13 {
 		t.Errorf("rows = %d, want 13", len(res.Rows))
 	}
-	neg, err := db.Exec(`SELECT ticket_id FROM tickets WHERE priority <> 2`, execCfg())
+	neg, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE priority <> 2`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func TestExecNumericPredicate(t *testing.T) {
 func TestExecNotOrSemantics(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT ticket_id FROM tickets WHERE NOT (category = 'billing' OR category = 'refund')`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE NOT (category = 'billing' OR category = 'refund')`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func TestExecNotOrSemantics(t *testing.T) {
 func TestExecOrderByLimitRowwise(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT ticket_id FROM tickets ORDER BY ticket_id DESC LIMIT 5`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets ORDER BY ticket_id DESC LIMIT 5`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestExecOrderByLimitRowwise(t *testing.T) {
 func TestExecOrderByNumericColumn(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT priority, ticket_id FROM tickets ORDER BY priority DESC LIMIT 1`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT priority, ticket_id FROM tickets ORDER BY priority DESC LIMIT 1`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestExecOrderByNumericColumn(t *testing.T) {
 func TestExecAggregateOverEmptyRelation(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", catTicketsTable())
-	res, err := db.Exec(`SELECT COUNT(*) AS n FROM tickets WHERE category = 'nope'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT COUNT(*) AS n FROM tickets WHERE category = 'nope'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,7 +550,7 @@ func TestExecAggregateOverEmptyRelation(t *testing.T) {
 		t.Errorf("rows = %v, want one row with 0", res.Rows)
 	}
 	// With GROUP BY there is nothing to group, so no rows at all.
-	res, err = db.Exec(`SELECT category, COUNT(*) FROM tickets WHERE category = 'nope' GROUP BY category`, execCfg())
+	res, err = db.ExecContext(t.Context(), `SELECT category, COUNT(*) FROM tickets WHERE category = 'nope' GROUP BY category`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func TestExecValidationErrors(t *testing.T) {
 		`SELECT category FROM t ORDER BY nope`,                     // unknown ORDER BY column
 	}
 	for _, src := range bad {
-		if _, err := db.Exec(src, execCfg()); err == nil {
+		if _, err := db.ExecContext(t.Context(), src, execCfg()); err == nil {
 			t.Errorf("Exec(%q) succeeded", src)
 		}
 	}

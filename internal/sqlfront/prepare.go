@@ -7,14 +7,14 @@ import (
 
 // Prepared is a reusable statement handle: the SQL is parsed, bound,
 // validated, and planned once (both the optimized and the naive plan), and
-// every Exec reuses that work. This is the "prepared statements + plan
+// every ExecContext reuses that work. This is the "prepared statements + plan
 // cache" layer repeated dashboard statements ride on — re-running a prepared
 // statement costs zero parse/bind/plan time.
 //
-// A Prepared is safe for concurrent Exec from any number of goroutines. It
-// snapshots the registry at preparation time; if tables are (re)registered
-// afterwards, the next Exec transparently re-prepares against the new
-// registry before running.
+// A Prepared is safe for concurrent ExecContext from any number of
+// goroutines. It snapshots the registry at preparation time; if tables are
+// (re)registered afterwards, the next ExecContext transparently re-prepares
+// against the new registry before running.
 type Prepared struct {
 	db  *DB
 	src string
@@ -40,19 +40,12 @@ func (db *DB) Prepare(src string) (*Prepared, error) {
 // SQL returns the statement text the handle was prepared from.
 func (p *Prepared) SQL() string { return p.src }
 
-// Exec runs the prepared statement. cfg.Naive selects the cached naive plan
-// instead of the optimized one; both were built at Prepare time, so the
-// toggle costs nothing. When the registry changed since preparation the
-// statement is re-prepared first (a changed FROM table may have a new
-// schema, making the cached binding invalid). Exec is ExecContext without
-// cancellation.
-func (p *Prepared) Exec(cfg ExecConfig) (*Result, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecContext
-	return p.ExecContext(context.Background(), cfg)
-}
-
-// ExecContext is Exec honoring ctx: cancellation is checked before every
-// LLM stage and between engine steps within one.
+// ExecContext runs the prepared statement. cfg.Naive selects the cached
+// naive plan instead of the optimized one; both were built at Prepare time,
+// so the toggle costs nothing. When the registry changed since preparation
+// the statement is re-prepared first (a changed FROM table may have a new
+// schema, making the cached binding invalid). Cancellation is checked
+// before every LLM stage and between engine steps within one.
 func (p *Prepared) ExecContext(ctx context.Context, cfg ExecConfig) (*Result, error) {
 	p.mu.Lock()
 	st := p.st

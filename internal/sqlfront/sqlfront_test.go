@@ -424,7 +424,7 @@ func TestExecIntroExample(t *testing.T) {
 	// The paper's introductory query shape.
 	db := NewDB()
 	db.Register("customer_tickets", ticketsTable())
-	res, err := db.Exec(`SELECT ticket_id, request, LLM('Did {support_response} address {request}?', support_response, request) AS success FROM customer_tickets`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id, request, LLM('Did {support_response} address {request}?', support_response, request) AS success FROM customer_tickets`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +450,7 @@ func TestExecIntroExample(t *testing.T) {
 func TestExecFilterWithLabels(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", ticketsTable())
-	res, err := db.Exec(`SELECT ticket_id FROM tickets WHERE LLM('Did the response help?', support_response, request) = 'Yes'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE LLM('Did the response help?', support_response, request) = 'Yes'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +467,11 @@ func TestExecFilterWithLabels(t *testing.T) {
 func TestExecNegatedFilterComplements(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", ticketsTable())
-	pos, err := db.Exec(`SELECT ticket_id FROM tickets WHERE LLM('help?', support_response) = 'Yes'`, execCfg())
+	pos, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE LLM('help?', support_response) = 'Yes'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	neg, err := db.Exec(`SELECT ticket_id FROM tickets WHERE LLM('help?', support_response) <> 'Yes'`, execCfg())
+	neg, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM tickets WHERE LLM('help?', support_response) <> 'Yes'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestExecAggregate(t *testing.T) {
 	d := datagen.Products(datagen.Options{Scale: 0.005, Seed: 3})
 	db := NewDB()
 	db.Register("products", d.Table)
-	res, err := db.Exec(`SELECT AVG(LLM('Rate the sentiment 1-5', text, description)) AS score FROM products`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT AVG(LLM('Rate the sentiment 1-5', text, description)) AS score FROM products`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +505,7 @@ func TestExecMultiLLMPipeline(t *testing.T) {
 	d := datagen.Movies(datagen.Options{Scale: 0.005, Seed: 3})
 	db := NewDB()
 	db.Register("movies", d.Table)
-	res, err := db.Exec(`SELECT LLM('Summarize the good qualities', movieinfo, reviewcontent) FROM movies WHERE LLM('Is it suitable for kids?', movieinfo, genres) = 'Yes'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT LLM('Summarize the good qualities', movieinfo, reviewcontent) FROM movies WHERE LLM('Is it suitable for kids?', movieinfo, genres) = 'Yes'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestExecMultiLLMPipeline(t *testing.T) {
 func TestExecSelectStar(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", ticketsTable())
-	res, err := db.Exec(`SELECT * FROM tickets WHERE LLM('help?', support_response) = 'Yes'`, execCfg())
+	res, err := db.ExecContext(t.Context(), `SELECT * FROM tickets WHERE LLM('help?', support_response) = 'Yes'`, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,11 +538,11 @@ func TestExecSyntheticTruthIsDeterministic(t *testing.T) {
 	db := NewDB()
 	db.Register("tickets", ticketsTable())
 	sql := `SELECT ticket_id FROM tickets WHERE LLM('custom?', request) = 'MAYBE'`
-	a, err := db.Exec(sql, execCfg())
+	a, err := db.ExecContext(t.Context(), sql, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := db.Exec(sql, execCfg())
+	b, err := db.ExecContext(t.Context(), sql, execCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,11 +558,11 @@ func TestExecGGRNotSlowerThanOriginal(t *testing.T) {
 	sql := `SELECT LLM('Summarize the comment', Body, Text) FROM bird`
 	cfgGGR := execCfg()
 	cfgOrig := ExecConfig{Config: query.Config{Policy: query.CacheOriginal}}
-	g, err := db.Exec(sql, cfgGGR)
+	g, err := db.ExecContext(t.Context(), sql, cfgGGR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := db.Exec(sql, cfgOrig)
+	o, err := db.ExecContext(t.Context(), sql, cfgOrig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,7 +583,7 @@ func TestExecErrors(t *testing.T) {
 		`SELECT !! FROM t`,
 	}
 	for _, src := range bad {
-		if _, err := db.Exec(src, execCfg()); err == nil {
+		if _, err := db.ExecContext(t.Context(), src, execCfg()); err == nil {
 			t.Errorf("Exec(%q) succeeded", src)
 		}
 	}
@@ -593,7 +593,7 @@ func TestExecDoesNotMutateRegisteredTable(t *testing.T) {
 	tbl := ticketsTable()
 	db := NewDB()
 	db.Register("t", tbl)
-	if _, err := db.Exec(`SELECT ticket_id FROM t WHERE LLM('odd?', request, *) = 'MAYBE'`, execCfg()); err != nil {
+	if _, err := db.ExecContext(t.Context(), `SELECT ticket_id FROM t WHERE LLM('odd?', request, *) = 'MAYBE'`, execCfg()); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := tbl.Hidden("__sql_truth"); ok {

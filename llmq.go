@@ -30,11 +30,14 @@
 // windows, NewShardedBackend fans one batch out over concurrent engine runs
 // at its prefix-group boundaries (a ClusterRouter over one in-process
 // member), and NewRecordingBackend taps batches for tests and metrics.
-// Every execution
-// entry point has a Context variant (ExecSQLContext, RunQueryContext,
+//
+// Every execution entry point takes a context (ExecSQLContext,
+// RunQueryContext, RunExperimentContext, SQLDB.ExecContext,
 // Runtime.SubmitContext/ExecContext, ...): canceling the context stops the
 // statement between LLM stages and mid-batch, returning an error wrapping
-// context.Canceled.
+// context.Canceled. ExecSQL, RunQuery and RunExperiment are the only
+// context-free forms: conveniences for scripts and examples that run their
+// work to completion.
 package llmq
 
 import (
@@ -188,9 +191,11 @@ func Queries() []QuerySpec { return query.Specs() }
 func QueryByName(name string) (QuerySpec, error) { return query.ByName(name) }
 
 // RunQuery executes a benchmark query over t under cfg (model, cluster, and
-// scheduling policy) on the serving simulator.
+// scheduling policy) on the serving simulator. It is RunQueryContext without
+// cancellation.
 func RunQuery(spec QuerySpec, t *Table, cfg QueryConfig) (*QueryResult, error) {
-	return query.Run(spec, t, cfg)
+	//llmqlint:detached -- facade convenience form; RunQueryContext is the cancelable one
+	return RunQueryContext(context.Background(), spec, t, cfg)
 }
 
 // RunQueryContext is RunQuery honoring ctx: cancellation is checked before
@@ -251,8 +256,8 @@ type (
 )
 
 // NewSQLDB returns an empty LLM-SQL database. Register every table a
-// statement's FROM clause names, then Exec: statements may join any number
-// of registered tables with inner equi-joins
+// statement's FROM clause names, then call ExecContext: statements may join
+// any number of registered tables with inner equi-joins
 // (FROM t1 AS a JOIN t2 AS b ON a.k = b.k), qualifying columns as
 // alias.column anywhere a column is legal.
 func NewSQLDB() *SQLDB { return sqlfront.NewDB() }
@@ -261,7 +266,8 @@ func NewSQLDB() *SQLDB { return sqlfront.NewDB() }
 // against exactly one table, registered under tableName for the call's
 // duration. Statements whose FROM clause joins several tables are rejected
 // with an error pointing at SQLDB — build one with NewSQLDB, Register each
-// table, and call its Exec instead.
+// table, and call its ExecContext instead. ExecSQL is ExecSQLContext without
+// cancellation.
 //
 // The dialect (see the sqlfront package comment for the full EBNF) is the
 // paper's interface grown into a small analytics language:
@@ -284,7 +290,7 @@ func NewSQLDB() *SQLDB { return sqlfront.NewDB() }
 // cascades multiple LLM filters cheapest-first; set SQLConfig.Naive to true
 // to bypass the optimizations and measure their benefit.
 func ExecSQL(sql string, tableName string, t *Table, cfg SQLConfig) (*SQLResult, error) {
-	//llmqlint:detached -- no-cancellation convenience wrapper over ExecSQLContext
+	//llmqlint:detached -- facade convenience form; ExecSQLContext is the cancelable one
 	return ExecSQLContext(context.Background(), sql, tableName, t, cfg)
 }
 
@@ -297,7 +303,7 @@ func ExecSQLContext(ctx context.Context, sql string, tableName string, t *Table,
 		return nil, err
 	}
 	if n := len(q.From); n > 1 {
-		return nil, fmt.Errorf("llmq: ExecSQL executes against a single table, but the statement joins %d; register each table on a SQLDB (NewSQLDB) and use its Exec", n)
+		return nil, fmt.Errorf("llmq: ExecSQL executes against a single table, but the statement joins %d; register each table on a SQLDB (NewSQLDB) and use its ExecContext", n)
 	}
 	db := NewSQLDB()
 	db.Register(tableName, t)
@@ -377,9 +383,9 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 // from any number of goroutines run on a bounded worker pool; pending LLM
 // calls that share a prompt coalesce across queries into GGR-ordered
 // batches; an exact-match result cache plus inflight dedup keep repeated
-// statements from paying for the same model call twice; and Prepare/Execute
-// handles skip parse and planning on every rerun. See internal/runtime for
-// the architecture.
+// statements from paying for the same model call twice; and Prepare handles
+// skip parse and planning on every rerun. See internal/runtime for the
+// architecture.
 type (
 	Runtime        = runtime.Runtime
 	RuntimeConfig  = runtime.Config
@@ -449,9 +455,11 @@ type (
 // order; the internal/bench registry maps each to its paper artifact.
 func Experiments() []string { return bench.Experiments() }
 
-// RunExperiment regenerates one of the paper's tables or figures.
+// RunExperiment regenerates one of the paper's tables or figures. It is
+// RunExperimentContext without cancellation.
 func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentReport, error) {
-	return bench.Run(id, cfg)
+	//llmqlint:detached -- facade convenience form; RunExperimentContext is the cancelable one
+	return RunExperimentContext(context.Background(), id, cfg)
 }
 
 // RunExperimentContext is RunExperiment honoring ctx: a canceled context

@@ -216,7 +216,7 @@ func TestExecSQLRejectsJoins(t *testing.T) {
 	// The same statement runs on a SQLDB.
 	db := NewSQLDB()
 	db.Register("t", tb)
-	res, err := db.Exec(`SELECT a.v FROM t AS a JOIN t AS b ON a.k = b.k`, SQLConfig{})
+	res, err := db.ExecContext(t.Context(), `SELECT a.v FROM t AS a JOIN t AS b ON a.k = b.k`, SQLConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestExecSQLRejectsJoins(t *testing.T) {
 	}
 
 	// An unregistered table fails with a clear registry error.
-	_, err = db.Exec(`SELECT v FROM elsewhere`, SQLConfig{})
+	_, err = db.ExecContext(t.Context(), `SELECT v FROM elsewhere`, SQLConfig{})
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Errorf("unregistered-table error = %v", err)
 	}
